@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-runner bench-serve bench-fleet bench-obs bench-ingest bench-cluster bench-predict race ci fuzz profile results examples clean help
+.PHONY: all build test vet bench perfbench bench-runner bench-serve bench-fleet bench-obs bench-ingest bench-cluster bench-predict race ci fuzz profile results examples clean help
 
 all: build vet test
 
@@ -19,13 +19,16 @@ help:
 	@echo "  fuzz     run every native fuzz target for FUZZTIME (default 30s)"
 	@echo "           each; seed corpora live in testdata/fuzz/"
 	@echo "  bench    run every benchmark with -benchmem"
+	@echo "  perfbench run the repository benchmark's gated workloads"
+	@echo "           (firehose, serve_mixed) for 2 s each; fails when a"
+	@echo "           run's output checks fail"
 	@echo "  bench-runner  snapshot fleet-runner perf (batch vs stream at"
 	@echo "           1/4/GOMAXPROCS workers) into results/BENCH_runner.json"
 	@echo "  bench-serve   snapshot serving-layer perf (sink ingest/merge"
 	@echo "           throughput, query latency incl. p50/p99 under"
 	@echo "           concurrent load) into results/BENCH_serve.json"
-	@echo "  bench-fleet   snapshot fleet-scale perf (1k/10k cars, layout x"
-	@echo "           format matrix + ingest microbenches, merged with the"
+	@echo "  bench-fleet   snapshot fleet-scale perf (1k/10k cars x format"
+	@echo "           matrix + ingest microbenches, merged with the"
 	@echo "           frozen pre-columnar baseline) into"
 	@echo "           results/BENCH_fleet.json; FLEET_CARS=N adds a size"
 	@echo "  bench-obs     snapshot observability overhead (obs off vs idle"
@@ -114,6 +117,18 @@ profile:
 bench:
 	$(GO) test -bench=. -benchmem -run xxx ./...
 
+# The repository benchmark (perfbench/, see BENCHMARK.json), briefly:
+# each gated workload runs for 2 s and must print "correct": true.
+# firehose's output checks include the 1,024-car streamed = batch
+# comparison.
+perfbench:
+	@set -e; for w in firehose serve_mixed; do \
+		echo "== perfbench $$w =="; \
+		res=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1); \
+		echo "$$res"; \
+		echo "$$res" | grep -Eq '"correct": ?true' || { echo "perfbench $$w: output checks failed"; exit 1; }; \
+	done
+
 # Fleet-runner perf trajectory: whole-fleet batch vs stream at 1, 4 and
 # GOMAXPROCS workers, medians over 5 repetitions, snapshotted into
 # results/BENCH_runner.json via cmd/benchfmt.
@@ -141,7 +156,7 @@ bench-serve:
 		< /tmp/bench_serve.txt > results/BENCH_serve.json
 	@echo "wrote results/BENCH_serve.json"
 
-# Fleet-scale perf trajectory: the cars × layout × format matrix plus
+# Fleet-scale perf trajectory: the cars × format matrix plus
 # the per-car ingest microbenches, single-shot runs with medians over 3
 # repetitions (one op is a whole fleet). The frozen pre-columnar
 # baseline (BenchmarkFleetSeed arms of results/bench_fleet_seed.txt,
@@ -160,7 +175,7 @@ bench-fleet:
 	@echo "wrote results/BENCH_fleet.json"
 
 # Observability overhead: the BenchmarkFleet workload (1000 cars,
-# columnar layout, binary ingest) with the obs stack off (nil tracer —
+# binary ingest) with the obs stack off (nil tracer —
 # must stay within 1% of the pre-observability BENCH_fleet.json arm),
 # lineage+metrics only, a 10% trace sample, and every car traced.
 bench-obs:
@@ -169,7 +184,7 @@ bench-obs:
 	$(GO) run ./cmd/benchfmt \
 		-snapshot "$$(date +%Y-%m-%d)" \
 		-command "go test -run xxx -bench '^BenchmarkFleetObs' -benchmem -benchtime=1x -count=5 ." \
-		-notes "1000-car fleet, columnar layout, binary ingest; obs=off (nil tracer, <=1% of pre-observability BENCH_fleet baseline), obs=lineage adds ledger+metrics, obs=sampled traces 10% of cars, obs=traced traces all" \
+		-notes "1000-car fleet, binary ingest; obs=off (nil tracer, <=1% of pre-observability BENCH_fleet baseline), obs=lineage adds ledger+metrics, obs=sampled traces 10% of cars, obs=traced traces all" \
 		< /tmp/bench_obs.txt > results/BENCH_obs.json
 	@echo "wrote results/BENCH_obs.json"
 

@@ -60,6 +60,7 @@ import (
 	"log"
 	"log/slog"
 	"math"
+	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -93,7 +94,6 @@ func main() {
 	maxFailures := flag.Int("max-failures", 0, "error budget: failed cars tolerated before aborting (0 = unlimited, -1 = abort on first)")
 	retries := flag.Int("retries", 1, "per-car attempts for retryable errors")
 	tracesIn := flag.String("traces", "", "optional route-point trace file (CSV or binary, from cmd/tracegen; format sniffed) to process instead of simulating; must match -seed")
-	layoutFlag := flag.String("layout", "auto", "point-storage layout for the hot path: auto, columnar, or legacy")
 	svgOut := flag.String("svg", "", "optional SVG output: the accepted transitions' speed map")
 	metricsOut := flag.String("metrics", "", "optional JSON metrics snapshot written at exit")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060, :0 for ephemeral)")
@@ -119,10 +119,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-transition details")
 	flag.Parse()
 
-	layout, err := taxitrace.ParseLayout(*layoutFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 	logger, err := newLogger(*logLevel, *logFormat)
 	if err != nil {
 		log.Fatal(err)
@@ -159,7 +155,6 @@ func main() {
 
 	start := time.Now()
 	p, err := taxitrace.New(taxitrace.Config{
-		Layout:   layout,
 		CitySeed: *seed,
 		Fleet: tracegen.Config{
 			Seed:            *seed,
@@ -186,9 +181,10 @@ func main() {
 	// Every serving mode mounts the prediction layer over the same
 	// deterministic road network the pipeline (or, for the coordinator,
 	// its workers) computed from -seed.
-	predictor := predict.NewPredictor(p.Graph, p.Router).WithMetrics(reg)
-	predictor.ShrinkK = *predictK
-	detector := predict.NewAnomalyDetector(predict.AnomalyConfig{
+	serving := node{reg: reg, log: logger, check: taxitrace.CheckConfig{Enabled: *checkOn, Strict: *checkStrict}}
+	serving.predictor = predict.NewPredictor(p.Graph, p.Router).WithMetrics(reg)
+	serving.predictor.ShrinkK = *predictK
+	serving.detector = predict.NewAnomalyDetector(predict.AnomalyConfig{
 		Alpha: *anomalyAlpha, ZThreshold: *anomalyZ,
 	}).WithMetrics(reg)
 
@@ -196,8 +192,7 @@ func main() {
 	// partial snapshots into the global serving view and answers the /v1
 	// query API (prediction included) on it until interrupted.
 	if *clusterCoordinator {
-		if err := runClusterCoordinator(ctx, reg, logger, predictor, detector,
-			*serveAddr, *clusterShards, *maxFailures, *nodeID); err != nil {
+		if err := runClusterCoordinator(ctx, serving, *serveAddr, *clusterShards, *maxFailures, *nodeID); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -207,30 +202,19 @@ func main() {
 	// runs the full pipeline over its hash-assigned cars, publishes
 	// partial snapshots for the coordinator to pull, and exits once its
 	// sealed epoch has been folded into the merged serving view.
-	if *clusterWorker >= 0 {
-		if err := runClusterWorker(ctx, p, reg, lin, logger, predictor, detector,
-			*clusterWorker, *clusterShards, *cars, *clusterCoord, *serveAddr, *nodeID); err != nil {
-			log.Fatal(err)
-		}
-		printLineageTable(lin)
-		if *metricsOut != "" {
-			if err := writeMetrics(reg, *metricsOut); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *metricsOut)
-		}
-		fmt.Printf("\ndone in %s\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
+	//
 	// With -ingest-addr the process is a streaming server: points
 	// arrive over HTTP (e.g. from tracegen -firehose), per-car state
 	// machines clean and segment them online, and the watermark closes
 	// trips into the sink — the batch fleet never runs.
-	if *ingestAddr != "" {
-		if err := runIngestServer(ctx, p, reg, lin, logger, predictor, detector,
-			*ingestAddr, *lateness, *idleTimeout,
-			taxitrace.CheckConfig{Enabled: *checkOn, Strict: *checkStrict}); err != nil {
+	if *clusterWorker >= 0 || *ingestAddr != "" {
+		if *clusterWorker >= 0 {
+			err = runClusterWorker(ctx, p, serving, lin,
+				*clusterWorker, *clusterShards, *cars, *clusterCoord, *serveAddr, *nodeID)
+		} else {
+			err = runIngestServer(ctx, p, serving, lin, *ingestAddr, *lateness, *idleTimeout)
+		}
+		if err != nil {
 			log.Fatal(err)
 		}
 		printLineageTable(lin)
@@ -251,32 +235,15 @@ func main() {
 	var snk *sink.Sink
 	var apiSrv *obs.DebugServer
 	if *serveAddr != "" {
-		g, err := sink.GridForPipeline(p)
+		var stop func()
+		if snk, err = serving.newSink(p); err == nil {
+			apiSrv, stop, err = serving.serveAPI(reg.DebugMux(), snk, *serveAddr,
+				func(a *serve.API) *serve.API { return a.WithLineage(lin) })
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		if snk, err = sink.New(sink.Config{
-			Grid:    g,
-			Metrics: reg,
-			Gates:   p.Selector.GateNames(),
-			Check:   taxitrace.CheckConfig{Enabled: *checkOn, Strict: *checkStrict},
-			Log:     logger,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		mux := reg.DebugMux()
-		serve.Mount(mux, serve.NewAPI(snk, reg).WithLogger(logger).WithLineage(lin).
-			WithPredictor(predictor).WithAnomalies(detector))
-		if apiSrv, err = obs.Serve(*serveAddr, mux); err != nil {
-			log.Fatal(err)
-		}
-		// Graceful: drain in-flight /v1 requests (bounded) on the way out
-		// rather than snapping their connections.
-		defer func() {
-			if err := apiSrv.Shutdown(5 * time.Second); err != nil {
-				log.Printf("query API shutdown: %v", err)
-			}
-		}()
+		defer stop()
 		fmt.Printf("query API: http://%s/v1/snapshot /v1/healthz /v1/lineage /v1/grid /v1/od /v1/predict /v1/anomalies (+debug surface)\n", apiSrv.Addr)
 	}
 
@@ -377,7 +344,6 @@ func main() {
 				"trips":    fmt.Sprint(*trips),
 				"seed":     fmt.Sprint(*seed),
 				"gatefrac": fmt.Sprint(*gateFrac),
-				"layout":   *layoutFlag,
 				"workers":  fmt.Sprint(*workers),
 				"retries":  fmt.Sprint(*retries),
 			},
@@ -448,14 +414,63 @@ func printStageTable(snap obs.Snapshot) {
 	w.Flush()
 }
 
+// node is what every serving role shares: the registry whose debug
+// surface each /v1 listener carries, the logger, the checker mode, and
+// the prediction layer over the road network every role derives from
+// -seed.
+type node struct {
+	reg       *obs.Registry
+	log       *slog.Logger
+	check     taxitrace.CheckConfig
+	predictor *predict.Predictor
+	detector  *predict.AnomalyDetector
+}
+
+// serveAPI mounts the /v1 query API over src on mux — the logger,
+// predictor and anomaly detector every role serves, plus role's own
+// options — and, when addr is set, serves mux there. The returned stop
+// drains in-flight requests (bounded) rather than snapping their
+// connections; it is a no-op when nothing listens.
+func (n node) serveAPI(mux *http.ServeMux, src serve.Source, addr string,
+	role func(*serve.API) *serve.API) (*obs.DebugServer, func(), error) {
+	serve.Mount(mux, role(serve.NewAPI(src, n.reg).WithLogger(n.log).
+		WithPredictor(n.predictor).WithAnomalies(n.detector)))
+	if addr == "" {
+		return nil, func() {}, nil
+	}
+	srv, err := obs.Serve(addr, mux)
+	if err != nil {
+		return nil, nil, err
+	}
+	return srv, func() {
+		if err := srv.Shutdown(5 * time.Second); err != nil {
+			log.Printf("shutdown of %s: %v", srv.Addr, err)
+		}
+	}, nil
+}
+
+// newSink builds the incremental aggregation sink the batch and ingest
+// roles serve.
+func (n node) newSink(p *taxitrace.Pipeline) (*sink.Sink, error) {
+	g, err := sink.GridForPipeline(p)
+	if err != nil {
+		return nil, err
+	}
+	return sink.New(sink.Config{
+		Grid:    g,
+		Metrics: n.reg,
+		Gates:   p.Selector.GateNames(),
+		Check:   n.check,
+		Log:     n.log,
+	})
+}
+
 // runClusterCoordinator runs the process as the cluster's merge/serve
 // node: workers register, heartbeat and publish partials against it,
 // and the /v1 query API answers on the merged view. Run returns when
 // the fleet seals (then the process keeps serving until interrupted)
 // or when the worker-loss budget is spent.
-func runClusterCoordinator(ctx context.Context, reg *obs.Registry, logger *slog.Logger,
-	predictor *predict.Predictor, detector *predict.AnomalyDetector,
-	addr string, shards, maxFailures int, nodeID string) error {
+func runClusterCoordinator(ctx context.Context, n node, addr string, shards, maxFailures int, nodeID string) error {
 	if addr == "" {
 		return errors.New("-cluster-coordinator requires -serve-addr")
 	}
@@ -466,30 +481,23 @@ func runClusterCoordinator(ctx context.Context, reg *obs.Registry, logger *slog.
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		NumShards:   shards,
 		MaxFailures: maxFailures,
-		Metrics:     reg,
-		Log:         logger,
+		Metrics:     n.reg,
+		Log:         n.log,
 	})
 	if err != nil {
 		return err
 	}
-	mux := reg.DebugMux()
+	mux := n.reg.DebugMux()
 	coord.RegisterHandlers(mux)
-	serve.Mount(mux, serve.NewAPI(coord, reg).
-		WithLogger(logger).
-		WithNode("coordinator", nodeID).
-		WithCluster(coord.WorkerHealth).
-		WithLineageSnapshot(coord.LineageSnapshot).
-		WithPredictor(predictor).
-		WithAnomalies(detector))
-	srv, err := obs.Serve(addr, mux)
+	srv, stop, err := n.serveAPI(mux, coord, addr, func(a *serve.API) *serve.API {
+		return a.WithNode("coordinator", nodeID).
+			WithCluster(coord.WorkerHealth).
+			WithLineageSnapshot(coord.LineageSnapshot)
+	})
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err := srv.Shutdown(5 * time.Second); err != nil {
-			log.Printf("coordinator shutdown: %v", err)
-		}
-	}()
+	defer stop()
 	fmt.Printf("cluster coordinator %s: %d shards, control endpoints at http://%s/v1/cluster/\n",
 		nodeID, shards, srv.Addr)
 	fmt.Printf("query API (merged view): http://%s/v1/snapshot /v1/healthz /v1/lineage /v1/grid /v1/od /v1/predict /v1/anomalies\n", srv.Addr)
@@ -520,11 +528,9 @@ func runClusterCoordinator(ctx context.Context, reg *obs.Registry, logger *slog.
 // runClusterWorker runs the process as one shard of the cluster. The
 // worker's own /v1 query API (its shard-local view) shares the
 // listener with the partial endpoint the coordinator pulls.
-func runClusterWorker(ctx context.Context, p *taxitrace.Pipeline, reg *obs.Registry,
-	lin *taxitrace.Lineage, logger *slog.Logger,
-	predictor *predict.Predictor, detector *predict.AnomalyDetector,
+func runClusterWorker(ctx context.Context, p *taxitrace.Pipeline, n node, lin *taxitrace.Lineage,
 	shard, shards, cars int, coordURL, addr, id string) error {
-	mux := reg.DebugMux()
+	mux := n.reg.DebugMux()
 	w, err := cluster.NewWorker(cluster.WorkerConfig{
 		ID:          id,
 		Shard:       shard,
@@ -534,17 +540,17 @@ func runClusterWorker(ctx context.Context, p *taxitrace.Pipeline, reg *obs.Regis
 		Addr:        addr,
 		Pipeline:    p,
 		Mux:         mux,
-		Log:         logger,
+		Log:         n.log,
 	})
 	if err != nil {
 		return err
 	}
-	serve.Mount(mux, serve.NewAPI(w, reg).
-		WithLogger(logger).
-		WithLineage(lin).
-		WithNode("worker", w.ID()).
-		WithPredictor(predictor).
-		WithAnomalies(detector))
+	// The worker serves mux itself, on addr, next to its partials.
+	if _, _, err := n.serveAPI(mux, w, "", func(a *serve.API) *serve.API {
+		return a.WithLineage(lin).WithNode("worker", w.ID())
+	}); err != nil {
+		return err
+	}
 	fmt.Printf("cluster worker %s: shard %d/%d (%d of %d cars), coordinator %s\n",
 		w.ID(), shard, shards, len(w.Cars()), cars, coordURL)
 	if err := w.Run(ctx); err != nil {
@@ -736,21 +742,9 @@ func writeSpeedMap(p *taxitrace.Pipeline, recs []*taxitrace.TransitionRecord, pa
 // one listener, a wall-clock tick keeps the watermark advancing on
 // slow streams, and interruption closes the engine so the final
 // snapshot seals before the summary prints.
-func runIngestServer(ctx context.Context, p *taxitrace.Pipeline, reg *obs.Registry,
-	lin *taxitrace.Lineage, logger *slog.Logger,
-	predictor *predict.Predictor, detector *predict.AnomalyDetector, addr string,
-	lateness, idleTimeout time.Duration, check taxitrace.CheckConfig) error {
-	g, err := sink.GridForPipeline(p)
-	if err != nil {
-		return err
-	}
-	snk, err := sink.New(sink.Config{
-		Grid:    g,
-		Metrics: reg,
-		Gates:   p.Selector.GateNames(),
-		Check:   check,
-		Log:     logger,
-	})
+func runIngestServer(ctx context.Context, p *taxitrace.Pipeline, n node, lin *taxitrace.Lineage,
+	addr string, lateness, idleTimeout time.Duration) error {
+	snk, err := n.newSink(p)
 	if err != nil {
 		return err
 	}
@@ -759,28 +753,22 @@ func runIngestServer(ctx context.Context, p *taxitrace.Pipeline, reg *obs.Regist
 		Sink:            snk,
 		AllowedLateness: lateness,
 		IdleTimeout:     idleTimeout,
-		Metrics:         reg,
+		Metrics:         n.reg,
 		Lineage:         lin,
-		Log:             logger,
+		Log:             n.log,
 	})
 	if err != nil {
 		return err
 	}
-	mux := reg.DebugMux()
-	serve.Mount(mux, serve.NewAPI(snk, reg).WithLogger(logger).WithLineage(lin).WithIngest(eng).
-		WithPredictor(predictor).WithAnomalies(detector))
-	srv, err := obs.Serve(addr, mux)
+	// stop lets an in-flight firehose POST finish before the listener
+	// goes away, so a producer mid-stream sees a clean response.
+	srv, stop, err := n.serveAPI(n.reg.DebugMux(), snk, addr, func(a *serve.API) *serve.API {
+		return a.WithLineage(lin).WithIngest(eng)
+	})
 	if err != nil {
 		return err
 	}
-	// Graceful: let an in-flight firehose POST finish (bounded) before
-	// the listener goes away, so a producer mid-stream sees a clean
-	// response instead of a reset.
-	defer func() {
-		if err := srv.Shutdown(5 * time.Second); err != nil {
-			log.Printf("ingest server shutdown: %v", err)
-		}
-	}()
+	defer stop()
 	fmt.Printf("streaming ingest: POST http://%s/v1/ingest (NDJSON or TAXIPNTB binary), POST /v1/ingest/close to seal\n", srv.Addr)
 	fmt.Printf("query API: http://%s/v1/snapshot /v1/healthz /v1/lineage /v1/grid /v1/od /v1/predict /v1/anomalies (+debug surface)\n", srv.Addr)
 	fmt.Printf("watermark: lateness %s, idle timeout %s — Ctrl-C to exit\n", lateness, idleTimeout)

@@ -3,9 +3,8 @@ package taxitrace
 // Fleet-scale benchmark: a parameterized 1k-100k synthetic fleet built
 // by replicating a simulated car pool, ingested per car from encoded
 // trace blobs and processed through the full per-car pipeline under
-// the fleet runner. The matrix crosses the two point-storage layouts
-// (columnar arena vs legacy row slices) with the two trace encodings
-// (CSV vs binary). `make bench-fleet` snapshots the results — together
+// the fleet runner. The matrix crosses fleet sizes with the two trace
+// encodings (CSV vs binary). `make bench-fleet` snapshots the results — together
 // with the frozen pre-columnar baseline in results/bench_fleet_seed.txt
 // (BenchmarkFleetSeed) — into results/BENCH_fleet.json via cmd/benchfmt,
 // reporting cars/sec, points/sec and allocs/op.
@@ -58,17 +57,15 @@ type fleetData struct {
 }
 
 var (
-	fleetOnce  sync.Once
-	fleet      *fleetData
-	fleetPipes map[core.Layout]*core.Pipeline
-	fleetErr   error
+	fleetOnce sync.Once
+	fleet     *fleetData
+	fleetPipe *core.Pipeline
+	fleetErr  error
 )
 
-// fleetEnvironment builds (once) one shared pipeline per storage layout
-// and the encoded per-car trace blobs for the largest requested fleet
-// size. Both pipelines are built from the same seed, so they share the
-// workload exactly; only Config.Layout differs.
-func fleetEnvironment(b *testing.B) (map[core.Layout]*core.Pipeline, *fleetData) {
+// fleetEnvironment builds (once) the shared pipeline and the encoded
+// per-car trace blobs for the largest requested fleet size.
+func fleetEnvironment(b *testing.B) (*core.Pipeline, *fleetData) {
 	b.Helper()
 	fleetOnce.Do(func() {
 		maxCars := 0
@@ -77,28 +74,24 @@ func fleetEnvironment(b *testing.B) (map[core.Layout]*core.Pipeline, *fleetData)
 				maxCars = n
 			}
 		}
-		fleetPipes = map[core.Layout]*core.Pipeline{}
-		for _, layout := range []core.Layout{core.LayoutColumnar, core.LayoutLegacy} {
-			fleetPipes[layout], fleetErr = core.NewPipeline(core.Config{
-				Layout:   layout,
-				CitySeed: fleetSeed,
-				Fleet: tracegen.Config{
-					Seed:            fleetSeed,
-					Cars:            fleetPoolCars,
-					TripsPerCar:     fleetTrips,
-					GateRunFraction: fleetGateFrac,
-				},
-			})
-			if fleetErr != nil {
-				return
-			}
+		fleetPipe, fleetErr = core.NewPipeline(core.Config{
+			CitySeed: fleetSeed,
+			Fleet: tracegen.Config{
+				Seed:            fleetSeed,
+				Cars:            fleetPoolCars,
+				TripsPerCar:     fleetTrips,
+				GateRunFraction: fleetGateFrac,
+			},
+		})
+		if fleetErr != nil {
+			return
 		}
-		fleet, fleetErr = buildFleet(fleetPipes[core.LayoutColumnar], maxCars)
+		fleet, fleetErr = buildFleet(fleetPipe, maxCars)
 	})
 	if fleetErr != nil {
 		b.Fatal(fleetErr)
 	}
-	return fleetPipes, fleet
+	return fleetPipe, fleet
 }
 
 // buildFleet replicates the simulated pool across cars 1..n and
@@ -173,61 +166,49 @@ func runFleet(b *testing.B, n int, proc func(ctx context.Context, car int) (core
 	return total
 }
 
-// BenchmarkFleet is the fleet-scale matrix: cars × layout × format.
-// The layout=legacy/format=csv arm reproduces the pre-columnar seed
-// configuration (compare against BenchmarkFleetSeed in
-// results/bench_fleet_seed.txt); layout=columnar/format=binary is the
-// full optimisation.
+// BenchmarkFleet is the fleet-scale matrix: cars × format. The binary
+// arm is the full optimisation; compare either arm against
+// BenchmarkFleetSeed in results/bench_fleet_seed.txt, the pre-columnar
+// seed configuration.
 func BenchmarkFleet(b *testing.B) {
-	pipes, data := fleetEnvironment(b)
+	p, data := fleetEnvironment(b)
 	for _, n := range fleetSizes() {
 		n := n
-		for _, lay := range []struct {
-			name   string
-			layout core.Layout
-		}{
-			{"columnar", core.LayoutColumnar},
-			{"legacy", core.LayoutLegacy},
-		} {
-			lay := lay
-			for _, format := range []string{"csv", "binary"} {
-				format := format
-				name := fmt.Sprintf("cars=%d/layout=%s/format=%s", n, lay.name, format)
-				b.Run(name, func(b *testing.B) {
-					p := pipes[lay.layout]
-					// The binary arm streams records straight into the
-					// pooled columnar arena (ProcessBinaryContext); the
-					// CSV arm materialises row trips first, as any
-					// row-oriented ingest must.
-					proc := func(ctx context.Context, car int) (core.CarResult, error) {
-						trips, err := trace.ReadCSV(bytes.NewReader(data.csv[car-1]), data.proj)
-						if err != nil {
-							return core.CarResult{}, err
-						}
-						return p.ProcessContext(ctx, car, trips)
+		for _, format := range []string{"csv", "binary"} {
+			format := format
+			b.Run(fmt.Sprintf("cars=%d/format=%s", n, format), func(b *testing.B) {
+				// The binary arm streams records straight into the
+				// pooled columnar arena (ProcessBinaryContext); the CSV
+				// arm materialises row trips first, as any row-oriented
+				// ingest must.
+				proc := func(ctx context.Context, car int) (core.CarResult, error) {
+					trips, err := trace.ReadCSV(bytes.NewReader(data.csv[car-1]), data.proj)
+					if err != nil {
+						return core.CarResult{}, err
 					}
-					if format == "binary" {
-						proc = func(ctx context.Context, car int) (core.CarResult, error) {
-							return p.ProcessBinaryContext(ctx, car, bytes.NewReader(data.bin[car-1]))
-						}
+					return p.ProcessContext(ctx, car, trips)
+				}
+				if format == "binary" {
+					proc = func(ctx context.Context, car int) (core.CarResult, error) {
+						return p.ProcessBinaryContext(ctx, car, bytes.NewReader(data.bin[car-1]))
 					}
-					points := fleetPointCount(data, n)
-					runtime.GC()
-					b.ReportAllocs()
-					b.ResetTimer()
-					transitions := 0
-					for i := 0; i < b.N; i++ {
-						transitions = runFleet(b, n, proc)
-					}
-					b.StopTimer()
-					if transitions == 0 {
-						b.Fatal("degenerate fleet: no accepted transitions")
-					}
-					sec := b.Elapsed().Seconds()
-					b.ReportMetric(float64(n*b.N)/sec, "cars/sec")
-					b.ReportMetric(float64(points*b.N)/sec, "points/sec")
-				})
-			}
+				}
+				points := fleetPointCount(data, n)
+				runtime.GC()
+				b.ReportAllocs()
+				b.ResetTimer()
+				transitions := 0
+				for i := 0; i < b.N; i++ {
+					transitions = runFleet(b, n, proc)
+				}
+				b.StopTimer()
+				if transitions == 0 {
+					b.Fatal("degenerate fleet: no accepted transitions")
+				}
+				sec := b.Elapsed().Seconds()
+				b.ReportMetric(float64(n*b.N)/sec, "cars/sec")
+				b.ReportMetric(float64(points*b.N)/sec, "points/sec")
+			})
 		}
 	}
 }

@@ -13,9 +13,8 @@ import (
 	"repro/internal/tracegen"
 )
 
-func diffConfig(layout Layout) Config {
+func diffConfig() Config {
 	return Config{
-		Layout:   layout,
 		CitySeed: 42,
 		Fleet:    tracegen.Config{Seed: 42, Cars: 3, TripsPerCar: 8, GateRunFraction: 0.35},
 	}
@@ -102,14 +101,14 @@ func flattenSnapshot(s *sink.Snapshot) any {
 	return out
 }
 
-// TestFormatAndLayoutDifferential is the end-to-end format/layout
-// proof: one fleet serialised to CSV and to the binary trace format,
-// pushed through the pipeline under both memory layouts and both
-// binary ingest paths (row materialisation vs the direct columnar
-// stream), must produce byte-identical results — per-car outputs, the
-// sealed serving snapshot, and the grid/OD mixed-model fit.
+// TestFormatAndLayoutDifferential is the end-to-end format proof: one
+// fleet serialised to CSV and to the binary trace format, pushed
+// through the pipeline over both binary ingest paths (row
+// materialisation vs the direct columnar stream), must produce
+// byte-identical results — per-car outputs, the sealed serving
+// snapshot, and the grid/OD mixed-model fit.
 func TestFormatAndLayoutDifferential(t *testing.T) {
-	gen, err := New(diffConfig(LayoutAuto))
+	gen, err := New(diffConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,22 +165,14 @@ func TestFormatAndLayoutDifferential(t *testing.T) {
 		return p.ProcessBinaryContext(context.Background(), car, bytes.NewReader(carBin[car]))
 	}
 
-	fromCSV := runTraces(t, diffConfig(LayoutAuto), cars, procCSV)
-	fromBin := runTraces(t, diffConfig(LayoutAuto), cars, procBin)
+	fromCSV := runTraces(t, diffConfig(), cars, procCSV)
+	fromBin := runTraces(t, diffConfig(), cars, procBin)
 	if !bytes.Equal(fromCSV, fromBin) {
 		t.Fatalf("binary input diverged from CSV input:\ncsv %d bytes, binary %d bytes",
 			len(fromCSV), len(fromBin))
 	}
-	fromBinDirect := runTraces(t, diffConfig(LayoutAuto), cars, procBinDirect)
+	fromBinDirect := runTraces(t, diffConfig(), cars, procBinDirect)
 	if !bytes.Equal(fromCSV, fromBinDirect) {
 		t.Fatal("direct columnar binary ingest diverged from CSV input")
-	}
-	fromBinLegacy := runTraces(t, diffConfig(LayoutLegacy), cars, procBin)
-	if !bytes.Equal(fromCSV, fromBinLegacy) {
-		t.Fatal("legacy layout over binary input diverged from columnar over CSV")
-	}
-	fromBinDirectLegacy := runTraces(t, diffConfig(LayoutLegacy), cars, procBinDirect)
-	if !bytes.Equal(fromCSV, fromBinDirectLegacy) {
-		t.Fatal("legacy-layout ProcessBinaryContext fallback diverged from CSV input")
 	}
 }

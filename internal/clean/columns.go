@@ -17,8 +17,8 @@ import (
 // comparison and reduction below reuses the exact expression shape of
 // the row-oriented code, sorts use the same stable/unstable choices,
 // and realignment truncates timestamps to milliseconds exactly like
-// time.Time.UnixMilli. The differential tests in core assert the
-// byte-level equivalence end to end.
+// time.Time.UnixMilli. Repair stays as the oracle: the kernel
+// differentials here and in core assert bit equality.
 
 // ColResult mirrors Result for a columnar repair. Trip.N == 0 means no
 // points survived.

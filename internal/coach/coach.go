@@ -79,12 +79,7 @@ func (c *Coach) Analyze(rec *core.TransitionRecord) TripReport {
 // idleShare is the time-weighted share of the transition spent
 // standing.
 func idleShare(rec *core.TransitionRecord) float64 {
-	pts := rec.Transition.Seg.Points
-	lo, hi := rec.Transition.FromCross.EntryIndex, rec.Transition.ToCross.ExitIndex
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	span := pts[lo : hi+1]
+	span := rec.Transition.Span()
 	var idle, total float64
 	for i := 0; i < len(span)-1; i++ {
 		dt := span[i+1].Time.Sub(span[i].Time).Seconds()

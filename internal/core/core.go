@@ -44,50 +44,6 @@ const LowSpeedKmh = 10
 // speed limit) when within this margin below the local limit.
 const NormalSpeedToleranceKmh = 2
 
-// Layout selects the in-memory point representation of the per-car
-// hot path (cleaning and segmentation).
-type Layout int
-
-const (
-	// LayoutAuto selects the default layout (columnar).
-	LayoutAuto Layout = iota
-	// LayoutColumnar runs cleaning and segmentation on struct-of-arrays
-	// columns in a pooled per-car arena (see internal/trace.Columns).
-	LayoutColumnar
-	// LayoutLegacy runs the row-oriented []RoutePoint path. Output is
-	// byte-identical to columnar (the determinism test asserts it);
-	// the layout is kept for differential testing and as the fallback
-	// for trips the columnar store cannot represent.
-	LayoutLegacy
-)
-
-// String returns the layout name.
-func (l Layout) String() string {
-	switch l {
-	case LayoutLegacy:
-		return "legacy"
-	case LayoutColumnar:
-		return "columnar"
-	default:
-		return "auto"
-	}
-}
-
-// ParseLayout converts a flag value to a Layout.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "", "auto":
-		return LayoutAuto, nil
-	case "columnar":
-		return LayoutColumnar, nil
-	case "legacy":
-		return LayoutLegacy, nil
-	}
-	return LayoutAuto, fmt.Errorf("core: unknown layout %q (want auto, columnar or legacy)", s)
-}
-
-func (l Layout) columnar() bool { return l != LayoutLegacy }
-
 // Config assembles one pipeline. Zero values select the paper's
 // settings.
 type Config struct {
@@ -122,7 +78,10 @@ type Config struct {
 	MaxAttempts  int
 	RetryBackoff time.Duration
 	// Faults injects per-stage failures, panics or stalls into car
-	// processing — the test/chaos hook. Nil in production runs.
+	// processing — the test/chaos hook, called as each stage boundary
+	// opens: once per car for simulate, clean, segment and odselect,
+	// then per transition for mapmatch (spans of two or more points)
+	// and mapattr (matched routes). Nil in production runs.
 	Faults runner.FaultInjector
 	// Check enables the correctness harness: per-stage invariant
 	// validation at every stage boundary (see internal/check).
@@ -157,9 +116,6 @@ type Config struct {
 	// Log receives structured per-car and fleet-event log lines
 	// (log/slog). Nil disables logging.
 	Log *slog.Logger
-	// Layout selects the hot-path point representation (default
-	// columnar; see the Layout constants).
-	Layout Layout
 }
 
 func (c Config) withDefaults() Config {
@@ -201,11 +157,12 @@ type Pipeline struct {
 	// checker is the stage-boundary invariant validator (nil when
 	// Config.Check is off; every method of a nil checker is a no-op).
 	checker *check.Validator
-	// lin holds the pre-resolved lineage ledger handles (all no-ops
-	// when Config.Lineage is nil).
-	lin *lineageHandles
+	// ledger and fleet are the pre-resolved rows of Config.Lineage (all
+	// no-ops when it is nil).
+	ledger *Ledger
+	fleet  *obs.StageLineage
 	// scratches pools per-car columnar scratch state (arena + sort
-	// buffers) across workers; see columnar.go.
+	// buffers) across workers; see driver.go.
 	scratches sync.Pool
 }
 
@@ -262,7 +219,8 @@ func NewPipelineWithCity(city *digiroad.City, cfg Config) (*Pipeline, error) {
 		Metrics:  cfg.Metrics,
 		met:      newPipelineMetrics(cfg.Metrics),
 		checker:  checker,
-		lin:      newLineageHandles(cfg.Lineage),
+		ledger:   NewLedger(cfg.Lineage),
+		fleet:    cfg.Lineage.Stage("fleet", "cars"),
 	}, nil
 }
 
@@ -271,18 +229,6 @@ func NewPipelineWithCity(city *digiroad.City, cfg Config) (*Pipeline, error) {
 // sink, standalone analyses — can validate their own boundaries with
 // the same rule set and counters.
 func (p *Pipeline) Checker() *check.Validator { return p.checker }
-
-// checkGate converts a strict-mode invariant violation into a
-// stage-attributed error on the runner's fault path, exactly like an
-// injected fault: the car fails with a CarError naming the stage, and
-// the violation is permanent (no retries — re-running the same car
-// breaks the same invariant).
-func (p *Pipeline) checkGate(stage string, err error) error {
-	if err == nil {
-		return nil
-	}
-	return &runner.StageError{Stage: stage, Err: err}
-}
 
 // TransitionRecord is one accepted OD transition with everything the
 // analysis needs.
@@ -503,15 +449,13 @@ func collectStream(st *FleetStream, n int, observe func(CarEvent)) (*Result, err
 // RunCarContext executes the pipeline for one car under ctx.
 func (p *Pipeline) RunCarContext(ctx context.Context, car int) (CarResult, error) {
 	ctx, root := p.ensureCarTrace(ctx, car)
-	if err := p.stageGate(ctx, car, "simulate"); err != nil {
+	st, err := p.openStage(ctx, car, stageSimulate)
+	if err != nil {
 		endCarTrace(ctx, root, err)
 		return CarResult{Car: car}, err
 	}
-	sp := p.met.simulate.Start()
-	tsp := p.traceStage(ctx, "simulate")
 	raw := p.Gen.CarTrips(car)
-	tsp.End(obs.TAttr("trips", itoa(len(raw))))
-	sp.End()
+	st.close(nil, obs.TAttr("trips", itoa(len(raw))))
 	cr, err := p.ProcessContext(ctx, car, raw)
 	if err == nil {
 		// Committed only on the final successful attempt, like the rest
@@ -520,212 +464,6 @@ func (p *Pipeline) RunCarContext(ctx context.Context, car int) (CarResult, error
 	}
 	endCarTrace(ctx, root, err)
 	return cr, err
-}
-
-// stageGate is the per-stage entry check: it propagates cancellation
-// and gives the configured fault injector its shot at the stage. An
-// injected error is attributed to the stage via runner.StageError so
-// the CarError built from it can name where the car went bad.
-func (p *Pipeline) stageGate(ctx context.Context, car int, stage string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := runner.Inject(p.Config.Faults, car, stage); err != nil {
-		return &runner.StageError{Stage: stage, Err: err}
-	}
-	return nil
-}
-
-// ProcessContext runs the cleaning → segmentation → selection →
-// matching → attribute stages over raw trips (however they were
-// obtained) under ctx. Cancellation is honored between stages and
-// between transitions; on error the partial CarResult built so far is
-// returned alongside it.
-//
-// Config.Layout picks the point representation of the cleaning and
-// segmentation stages; both produce byte-identical results. Trips the
-// columnar store cannot represent losslessly send the whole car down
-// the row-oriented path.
-func (p *Pipeline) ProcessContext(ctx context.Context, car int, raw []*trace.Trip) (CarResult, error) {
-	ctx, root := p.ensureCarTrace(ctx, car)
-	cr, err := p.processDispatch(ctx, car, raw)
-	endCarTrace(ctx, root, err)
-	return cr, err
-}
-
-// processDispatch picks the layout implementation.
-func (p *Pipeline) processDispatch(ctx context.Context, car int, raw []*trace.Trip) (CarResult, error) {
-	if p.Config.Layout.columnar() {
-		if cr, err, ok := p.processColumnar(ctx, car, raw); ok {
-			return cr, err
-		}
-	}
-	return p.processLegacy(ctx, car, raw)
-}
-
-// processLegacy is the row-oriented ([]RoutePoint) implementation of
-// ProcessContext.
-func (p *Pipeline) processLegacy(ctx context.Context, car int, raw []*trace.Trip) (CarResult, error) {
-	carSpan := p.met.car.Start()
-	defer func() {
-		carSpan.End()
-		p.met.cars.Inc()
-	}()
-	cr := CarResult{Car: car, RawTrips: len(raw)}
-
-	// Input boundary: whatever produced the raw trips (simulator or a
-	// CSV reload standing in for it), each must be internally
-	// consistent before cleaning sees it.
-	if err := p.checkGate("simulate", p.checker.RawTrips(car, raw)); err != nil {
-		return cr, err
-	}
-
-	// Cleaning (§IV-B). Every raw trip yields a result — a trip whose
-	// points were all dropped still contributes its drop counts to the
-	// lineage.
-	if err := p.stageGate(ctx, car, "clean"); err != nil {
-		return cr, err
-	}
-	for _, t := range raw {
-		cr.CleanStats.RawPoints += len(t.Points)
-	}
-	sp := p.met.clean.Start()
-	tsp := p.traceStage(ctx, "clean")
-	results := clean.RepairAll(raw, p.Config.Clean)
-	sp.End()
-	for _, r := range results {
-		if r.Trip == nil {
-			cr.CleanStats.EmptyTrips++
-		} else {
-			cr.CleanStats.Trips++
-			cr.CleanStats.KeptPoints += len(r.Trip.Points)
-		}
-		if r.Reordered {
-			cr.CleanStats.Reordered++
-		}
-		if r.ChosenOrder == clean.OrderByTime {
-			cr.CleanStats.ChoseTime++
-		}
-		cr.CleanStats.DroppedPoints += r.Dropped
-		cr.CleanStats.Drops.Merge(r.Drops)
-	}
-	tsp.End(obs.TAttr("trips", itoa(cr.CleanStats.Trips)),
-		obs.TAttr("dropped_points", itoa(cr.CleanStats.DroppedPoints)))
-	if err := p.checkGate("clean", p.checker.CleanedTrips(car, clean.Trips(results))); err != nil {
-		return cr, err
-	}
-
-	// Segmentation (Table 2).
-	if err := p.stageGate(ctx, car, "segment"); err != nil {
-		return cr, err
-	}
-	sp = p.met.segment.Start()
-	tsp = p.traceStage(ctx, "segment")
-	cr.Segments = segment.SplitAll(clean.Trips(results), p.Rules, &cr.SegStats)
-	tsp.End(obs.TAttr("kept", itoa(cr.SegStats.KeptSegments)))
-	sp.End()
-	if err := p.checkGate("segment", p.checker.Segments(car, cr.Segments, segmentCheckRules(p.Rules))); err != nil {
-		return cr, err
-	}
-
-	return cr, p.selectAndAnalyse(ctx, car, &cr)
-}
-
-// selectAndAnalyse runs the layout-independent tail of car processing
-// — OD selection (Table 3), map-matching and attribute fetching — over
-// cr.Segments, accumulating into cr.
-func (p *Pipeline) selectAndAnalyse(ctx context.Context, car int, cr *CarResult) error {
-	if err := p.stageGate(ctx, car, "odselect"); err != nil {
-		return err
-	}
-	sp := p.met.odselect.Start()
-	tsp := p.traceStage(ctx, "odselect")
-	funnel, accepted := p.Selector.Run(car, cr.Segments)
-	tsp.End(obs.TAttr("accepted", itoa(funnel.PostFiltered)))
-	sp.End()
-	cr.Funnel = funnel
-	if err := p.checkGate("odselect", p.checkTransitions(car, accepted)); err != nil {
-		return err
-	}
-	// Matching and attribute fetching run per transition; their fault
-	// gates sit at stage entry so an injected failure is attributed to
-	// the right stage.
-	if err := p.stageGate(ctx, car, "mapmatch"); err != nil {
-		return err
-	}
-	if err := p.stageGate(ctx, car, "mapattr"); err != nil {
-		return err
-	}
-	tsp = p.traceStage(ctx, "mapmatch")
-	if err := p.matchTransitions(ctx, car, accepted, &cr.MatchStats, &cr.Transitions); err != nil {
-		tsp.End()
-		return err
-	}
-	tsp.End(obs.TAttr("matched", itoa(cr.MatchStats.Matched)),
-		obs.TAttr("dropped", itoa(cr.MatchStats.Degenerate+cr.MatchStats.Unroutable)))
-
-	// The car is done: publish its stage counters and lineage in one
-	// commit, so failed or retried attempts never leak partial counts.
-	p.commitCar(cr)
-	return nil
-}
-
-// matchTransitions runs map-matching and attribute fetching over the
-// accepted transitions, folding outcomes into ms and appending matched
-// records to out. Cancellation is honored between transitions: a car
-// with hundreds of accepted transitions must not stall a drain.
-func (p *Pipeline) matchTransitions(ctx context.Context, car int, accepted []*odselect.Transition, ms *MatchStats, out *[]*TransitionRecord) error {
-	for _, tr := range accepted {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rec, err := p.analyseTransition(car, tr)
-		if err != nil {
-			// A transition that cannot be matched is dropped from the
-			// analysis but stays in the funnel count, mirroring the
-			// paper's "only cleared and filtered transitions ... are
-			// map-matched". The reason feeds the mapmatch lineage row.
-			if errors.Is(err, ErrDegenerateSpan) {
-				ms.Degenerate++
-			} else {
-				ms.Unroutable++
-			}
-			continue
-		}
-		if err := p.checkGate("mapmatch", p.checker.MatchedRoute(car, rec.Match.Route, rec.Match.MatchedFraction)); err != nil {
-			return err
-		}
-		if err := p.checkGate("mapattr", p.checker.RouteAttrs(car,
-			rec.Attrs.TrafficLights, rec.Attrs.BusStops,
-			rec.Attrs.PedestrianCrossings, rec.Attrs.Junctions)); err != nil {
-			return err
-		}
-		ms.Matched++
-		*out = append(*out, rec)
-	}
-	return nil
-}
-
-// AnalyseSegments runs the layout-independent analysis tail — OD
-// selection (Table 3), map-matching and attribute fetching — over
-// already-cleaned, already-segmented trips of one car, outside the
-// fleet runner. This is the incremental entry point the streaming
-// ingest layer drives once a trip closes under the watermark: unlike
-// the batch path it commits nothing to the pipeline's lineage ledger
-// or stage counters (callers own their accounting), but it validates
-// the same invariants when the correctness harness is on.
-//
-// The returned MatchStats partition the funnel's accepted count:
-// Matched + Degenerate + Unroutable == Funnel.PostFiltered.
-func (p *Pipeline) AnalyseSegments(ctx context.Context, car int, segs []*trace.Trip) (odselect.Funnel, MatchStats, []*TransitionRecord, error) {
-	var ms MatchStats
-	var recs []*TransitionRecord
-	funnel, accepted := p.Selector.Run(car, segs)
-	if err := p.checkGate("odselect", p.checkTransitions(car, accepted)); err != nil {
-		return funnel, ms, recs, err
-	}
-	err := p.matchTransitions(ctx, car, accepted, &ms, &recs)
-	return funnel, ms, recs, err
 }
 
 // segmentCheckRules adapts segmentation rules to the checker's view.
@@ -751,79 +489,11 @@ func (p *Pipeline) checkTransitions(car int, accepted []*odselect.Transition) er
 	return p.checker.Transitions(car, trs)
 }
 
-// analyseTransition map-matches one transition and derives the Table 4
-// metrics.
-func (p *Pipeline) analyseTransition(car int, tr *odselect.Transition) (*TransitionRecord, error) {
-	pts := tr.Seg.Points
-	lo := tr.FromCross.EntryIndex
-	hi := tr.ToCross.ExitIndex
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	span := pts[lo : hi+1]
-	if len(span) < 2 {
-		return nil, ErrDegenerateSpan
-	}
-	sp := p.met.mapmatch.Start()
-	match, err := p.Matcher.Match(span)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	sp = p.met.mapattr.Start()
-	attrs := p.Fetcher.ForMatch(match)
-	sp.End()
-
-	rec := &TransitionRecord{
-		Car:        car,
-		Transition: tr,
-		Match:      match,
-		Attrs:      attrs,
-		Season:     weather.SeasonOf(span[0].Time),
-		TempClass:  p.Weather.ClassAt(span[0].Time),
-	}
-	rec.RouteTimeH = span[len(span)-1].Time.Sub(span[0].Time).Hours()
-	rec.RouteDistKm = match.Geometry.Length() / 1000
-	rec.FuelMl = span[len(span)-1].FuelMl - span[0].FuelMl
-
-	// Low/normal speed shares are time-weighted: each point's speed
-	// holds until the next point, so standing at a red light counts by
-	// its duration, not by how many records the device emitted.
-	var low, normal, total float64
-	for i := 0; i < len(span)-1; i++ {
-		dt := span[i+1].Time.Sub(span[i].Time).Seconds()
-		if dt <= 0 {
-			continue
-		}
-		total += dt
-		if span[i].SpeedKmh < LowSpeedKmh {
-			low += dt
-		}
-		if limit, ok := p.limitAtMatch(match, i); ok && span[i].SpeedKmh >= limit-NormalSpeedToleranceKmh {
-			normal += dt
-		}
-	}
-	if total > 0 {
-		rec.LowSpeedPct = 100 * low / total
-		rec.NormalSpeedPct = 100 * normal / total
-	}
-	return rec, nil
-}
-
-// limitAtMatch returns the speed limit at the matched edge of span
-// point i.
-func (p *Pipeline) limitAtMatch(match *mapmatch.Result, i int) (float64, bool) {
-	if i >= len(match.Points) || match.Points[i].Skipped {
-		return 0, false
-	}
-	return p.Graph.Edges[match.Points[i].Edge].SpeedLimitKmh, true
-}
-
 // GridAnalysis aggregates the transition point speeds on the analysis
 // grid over the study area, attaches per-cell features, and fits the
 // per-cell random-intercept mixed model (paper model 3).
 func (p *Pipeline) GridAnalysis(recs []*TransitionRecord) (*grid.Aggregator, *stats.LMMResult, error) {
-	sp := p.met.grid.Start()
+	sp := p.met.stages[stageGrid].Start()
 	g, err := grid.New(p.City.StudyArea, p.Config.GridCellM)
 	if err != nil {
 		sp.End()
@@ -832,22 +502,18 @@ func (p *Pipeline) GridAnalysis(recs []*TransitionRecord) (*grid.Aggregator, *st
 	agg := grid.NewAggregator(g)
 	points := 0
 	for _, rec := range recs {
-		pts := rec.Transition.Seg.Points
-		lo, hi := rec.Transition.FromCross.EntryIndex, rec.Transition.ToCross.ExitIndex
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		for _, pt := range pts[lo : hi+1] {
+		span := rec.Transition.Span()
+		for _, pt := range span {
 			agg.Add(pt.Pos, pt.SpeedKmh)
 		}
-		points += hi - lo + 1
+		points += len(span)
 	}
 	agg.AttachFeatures(p.City.DB, p.Graph)
 	sp.End()
 	p.met.gridPoints.Add(uint64(points))
 	p.met.gridCells.Set(int64(agg.NumNonEmpty()))
-	if err := p.checkGate("grid", p.checker.GridCells(agg)); err != nil {
-		return agg, nil, err
+	if err := p.checker.GridCells(agg); err != nil {
+		return agg, nil, &runner.StageError{Stage: "grid", Err: err}
 	}
 
 	sp = p.met.lmm.Start()
@@ -865,12 +531,7 @@ func (p *Pipeline) GridAnalysis(recs []*TransitionRecord) (*grid.Aggregator, *st
 func PointSpeeds(recs []*TransitionRecord) []float64 {
 	var out []float64
 	for _, rec := range recs {
-		pts := rec.Transition.Seg.Points
-		lo, hi := rec.Transition.FromCross.EntryIndex, rec.Transition.ToCross.ExitIndex
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		for _, pt := range pts[lo : hi+1] {
+		for _, pt := range rec.Transition.Span() {
 			out = append(out, pt.SpeedKmh)
 		}
 	}
@@ -885,13 +546,9 @@ type SpeedPoint struct {
 
 // TransitionSpeedPoints extracts the positioned speeds of one record.
 func TransitionSpeedPoints(rec *TransitionRecord) []SpeedPoint {
-	pts := rec.Transition.Seg.Points
-	lo, hi := rec.Transition.FromCross.EntryIndex, rec.Transition.ToCross.ExitIndex
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	out := make([]SpeedPoint, 0, hi-lo+1)
-	for _, pt := range pts[lo : hi+1] {
+	span := rec.Transition.Span()
+	out := make([]SpeedPoint, 0, len(span))
+	for _, pt := range span {
 		out = append(out, SpeedPoint{Pos: pt.Pos, SpeedKmh: pt.SpeedKmh})
 	}
 	return out
@@ -912,12 +569,7 @@ func (p *Pipeline) FeatureModel(recs []*TransitionRecord) (*stats.LMMFixedResult
 	}
 	agg := grid.NewAggregator(g)
 	for _, rec := range recs {
-		pts := rec.Transition.Seg.Points
-		lo, hi := rec.Transition.FromCross.EntryIndex, rec.Transition.ToCross.ExitIndex
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		for _, pt := range pts[lo : hi+1] {
+		for _, pt := range rec.Transition.Span() {
 			agg.Add(pt.Pos, pt.SpeedKmh)
 		}
 	}

@@ -37,12 +37,7 @@ func TransitionEdgePaces(rec *TransitionRecord) []EdgePace {
 	if rec.Match == nil {
 		return nil
 	}
-	pts := rec.Transition.Seg.Points
-	lo, hi := rec.Transition.FromCross.EntryIndex, rec.Transition.ToCross.ExitIndex
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	span := pts[lo : hi+1]
+	span := rec.Transition.Span()
 	mp := rec.Match.Points
 	n := len(span)
 	if len(mp) < n {

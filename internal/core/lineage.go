@@ -8,21 +8,29 @@ import (
 	"repro/internal/obs"
 )
 
-// Lineage glue: the pipeline's drop-reason ledger. Stage code never
-// touches the ledger directly — each car accumulates its in/out/drop
-// counts into its CarResult, and commitCar folds them into the ledger
-// (and the stage counters) exactly once, on the car's final successful
-// attempt. A failed attempt commits nothing, so retries cannot
-// double-count and the conservation invariant (in = out + Σ dropped,
-// per stage) holds by construction:
+// Lineage glue: the drop-reason ledger. Stage code never touches a
+// ledger directly — the driver accumulates in/out/drop counts into a
+// CarResult, and Ledger.Commit folds them into a ledger exactly once.
+// The batch entries commit a car on its final successful attempt (via
+// commitCar), so a failed attempt commits nothing and retries cannot
+// double-count; internal/ingest commits each flushed trip into its own
+// ledger. The conservation invariant (in = out + Σ dropped, per stage)
+// holds by construction:
 //
 //	clean    (points):      RawPoints   = KeptPoints   + Drops.Total()
 //	segment  (segments):    RawSegments = KeptSegments + TooFew + TooLong
 //	odselect (segments):    TripSegments = PostFiltered + the funnel gaps
 //	mapmatch (transitions): PostFiltered = Matched + Degenerate + Unroutable
 //	fleet    (cars):        attempted    = ok + failed-by-stage
-type lineageHandles struct {
-	clean, segment, od, match, fleet *obs.StageLineage
+
+// Ledger is the one mapping from stage stats to lineage rows: the
+// clean, segment, odselect and mapmatch rows of a drop-reason ledger,
+// resolved once. A batch pipeline commits each car into its
+// Config.Lineage; internal/ingest commits each closed trip into its
+// own ledger. With a nil ledger every handle is nil and every
+// operation is a no-op, mirroring the registry contract.
+type Ledger struct {
+	clean, segment, od, match *obs.StageLineage
 
 	cleanNonFinite, cleanOutOfArea, cleanDup, cleanSpike  *obs.DropCounter
 	segShort, segLong                                     *obs.DropCounter
@@ -30,16 +38,13 @@ type lineageHandles struct {
 	matchDegenerate, matchUnroutable                      *obs.DropCounter
 }
 
-// newLineageHandles pre-resolves every ledger handle. With a nil
-// ledger every handle is nil and every operation is a no-op, mirroring
-// the registry contract.
-func newLineageHandles(l *obs.Lineage) *lineageHandles {
-	h := &lineageHandles{
+// NewLedger registers the stage rows on l (nil: a no-op ledger).
+func NewLedger(l *obs.Lineage) *Ledger {
+	h := &Ledger{
 		clean:   l.Stage("clean", "points"),
 		segment: l.Stage("segment", "segments"),
 		od:      l.Stage("odselect", "segments"),
 		match:   l.Stage("mapmatch", "transitions"),
-		fleet:   l.Stage("fleet", "cars"),
 	}
 	h.cleanNonFinite = h.clean.Reason(obs.DropNonFinite)
 	h.cleanOutOfArea = h.clean.Reason(obs.DropOutOfArea)
@@ -56,22 +61,9 @@ func newLineageHandles(l *obs.Lineage) *lineageHandles {
 	return h
 }
 
-// commitCar publishes one successfully processed car into the stage
-// counters and the lineage ledger. It is the single metrics/lineage
-// commit point for per-car stage accounting: callers invoke it exactly
-// once per car, after the car's final attempt succeeded, so a retried
-// attempt's partial progress never leaks into the totals (the
-// per-attempt duration histograms and the pipeline_cars_processed
-// envelope counter intentionally remain per-attempt).
-func (p *Pipeline) commitCar(cr *CarResult) {
-	p.met.recordCleanStats(cr.CleanStats)
-	p.met.recordSegStats(cr.SegStats)
-	p.met.recordFunnel(cr.Funnel)
-	p.met.matchMatched.Add(uint64(cr.MatchStats.Matched))
-	p.met.matchDropped.Add(uint64(cr.MatchStats.Degenerate + cr.MatchStats.Unroutable))
-	p.met.attrRoutes.Add(uint64(len(cr.Transitions)))
-
-	h := p.lin
+// Commit folds one result's stage stats into the ledger, attributing
+// its drops to cr.Car. Call it once per result.
+func (h *Ledger) Commit(cr *CarResult) {
 	car := cr.Car
 	h.clean.RecordCar(car, uint64(cr.CleanStats.RawPoints), uint64(cr.CleanStats.KeptPoints))
 	h.cleanNonFinite.Add(uint64(cr.CleanStats.Drops.NonFinite))
@@ -94,10 +86,26 @@ func (p *Pipeline) commitCar(cr *CarResult) {
 	h.match.RecordCar(car, uint64(m.Matched+m.Degenerate+m.Unroutable), uint64(m.Matched))
 	h.matchDegenerate.Add(uint64(m.Degenerate))
 	h.matchUnroutable.Add(uint64(m.Unroutable))
+}
+
+// commitCar publishes one successfully processed car into the stage
+// counters and the pipeline's ledger. The batch entries call it once
+// per car, after every stage succeeded, so a retried attempt's partial
+// progress never leaks into the totals (the per-attempt duration
+// histograms and the pipeline_cars_processed envelope counter
+// intentionally remain per-attempt).
+func (p *Pipeline) commitCar(cr *CarResult) {
+	p.met.recordCleanStats(cr.CleanStats)
+	p.met.recordSegStats(cr.SegStats)
+	p.met.recordFunnel(cr.Funnel)
+	p.met.matchMatched.Add(uint64(cr.MatchStats.Matched))
+	p.met.matchDropped.Add(uint64(cr.MatchStats.Degenerate + cr.MatchStats.Unroutable))
+	p.met.attrRoutes.Add(uint64(len(cr.Transitions)))
+	p.ledger.Commit(cr)
 
 	if log := p.Config.Log; log != nil {
 		log.Debug("car processed",
-			slog.Int("car", car),
+			slog.Int("car", cr.Car),
 			slog.Int("raw_trips", cr.RawTrips),
 			slog.Int("raw_points", cr.CleanStats.RawPoints),
 			slog.Int("kept_points", cr.CleanStats.KeptPoints),
@@ -114,15 +122,15 @@ func (p *Pipeline) commitCar(cr *CarResult) {
 func (p *Pipeline) recordFleetEvent(ev CarEvent) {
 	log := p.Config.Log
 	if ev.Err == nil {
-		p.lin.fleet.RecordCar(ev.Car, 1, 1)
+		p.fleet.RecordCar(ev.Car, 1, 1)
 		return
 	}
-	p.lin.fleet.RecordCar(ev.Car, 1, 0)
+	p.fleet.RecordCar(ev.Car, 1, 0)
 	reason := obs.DropCancelled
 	if !errors.Is(ev.Err.Err, context.Canceled) && !errors.Is(ev.Err.Err, context.DeadlineExceeded) {
 		reason = obs.DropReason("failed:" + failStage(ev.Err.Stage))
 	}
-	p.lin.fleet.Reason(reason).Add(1)
+	p.fleet.Reason(reason).Add(1)
 	if log != nil {
 		log.Warn("car failed",
 			slog.Int("car", ev.Car),

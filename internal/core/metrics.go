@@ -12,7 +12,24 @@ import (
 // <name>_active gauge) and kept/dropped counters under the
 // "pipeline_<stage>_" prefix; exporters and the taxiflow summary table
 // iterate this list.
-var StageNames = []string{
+var StageNames = stageNames[:]
+
+// stageID indexes StageNames: stage handles, span timers and pprof
+// labels are resolved by it.
+type stageID int
+
+const (
+	stageSimulate stageID = iota
+	stageClean
+	stageSegment
+	stageODSelect
+	stageMapmatch
+	stageMapattr
+	stageGrid
+	numStages
+)
+
+var stageNames = [numStages]string{
 	"simulate", "clean", "segment", "odselect", "mapmatch", "mapattr", "grid",
 }
 
@@ -26,8 +43,9 @@ type pipelineMetrics struct {
 	car  *obs.SpanTimer
 	cars *obs.Counter
 
-	// Stage spans, paper order.
-	simulate, clean, segment, odselect, mapmatch, mapattr, grid, lmm *obs.SpanTimer
+	// Stage spans indexed by stageID, plus the mixed-model fit.
+	stages [numStages]*obs.SpanTimer
+	lmm    *obs.SpanTimer
 
 	simTrips *obs.Counter
 
@@ -49,18 +67,10 @@ type pipelineMetrics struct {
 // newPipelineMetrics resolves every handle against reg (which may be
 // nil — all handles become no-ops).
 func newPipelineMetrics(reg *obs.Registry) *pipelineMetrics {
-	return &pipelineMetrics{
+	m := &pipelineMetrics{
 		car:  reg.SpanTimer("pipeline_car"),
 		cars: reg.Counter("pipeline_cars_processed"),
-
-		simulate: reg.SpanTimer("pipeline_simulate"),
-		clean:    reg.SpanTimer("pipeline_clean"),
-		segment:  reg.SpanTimer("pipeline_segment"),
-		odselect: reg.SpanTimer("pipeline_odselect"),
-		mapmatch: reg.SpanTimer("pipeline_mapmatch"),
-		mapattr:  reg.SpanTimer("pipeline_mapattr"),
-		grid:     reg.SpanTimer("pipeline_grid"),
-		lmm:      reg.SpanTimer("pipeline_lmm"),
+		lmm:  reg.SpanTimer("pipeline_lmm"),
 
 		simTrips: reg.Counter("pipeline_simulate_trips"),
 
@@ -92,6 +102,10 @@ func newPipelineMetrics(reg *obs.Registry) *pipelineMetrics {
 		gridCells:  reg.Gauge("pipeline_grid_cells_nonempty"),
 		lmmObs:     reg.Gauge("pipeline_lmm_observations"),
 	}
+	for id, name := range StageNames {
+		m.stages[id] = reg.SpanTimer("pipeline_" + name)
+	}
+	return m
 }
 
 // recordCleanStats folds one car's cleaning summary into the counters.

@@ -9,21 +9,21 @@ import (
 )
 
 // Tracing glue: the pipeline opens one root span per sampled car (in
-// RunCarContext, or lazily in ProcessContext for callers that feed raw
-// trips directly) and one child span per stage. Stage spans double as
-// pprof scopes — while a traced stage runs, the goroutine carries a
-// {stage=<name>} profiler label, so CPU profiles taken during a traced
-// run attribute samples to pipeline stages. The unsampled path costs
-// one nil check per call site.
+// RunCarContext, or lazily in the batch Process entries for callers
+// that feed trips directly) and one child span per stage boundary
+// (see openStage). Stage spans double as pprof scopes — while a traced
+// stage runs, the goroutine carries a {stage=<name>} profiler label,
+// so CPU profiles taken during a traced run attribute samples to
+// pipeline stages. The unsampled path costs one nil check per
+// boundary.
 
-// stageLabelCtx pre-builds one pprof label set per stage so the hot
-// path never re-allocates label storage.
-var stageLabelCtx = func() map[string]context.Context {
-	m := make(map[string]context.Context, len(StageNames))
-	for _, s := range StageNames {
-		m[s] = pprof.WithLabels(context.Background(), pprof.Labels("stage", s))
+// stageLabels pre-builds one pprof label set per stage so the hot path
+// never re-allocates label storage.
+var stageLabels = func() (l [numStages]context.Context) {
+	for id, s := range StageNames {
+		l[id] = pprof.WithLabels(context.Background(), pprof.Labels("stage", s))
 	}
-	return m
+	return l
 }()
 
 // ensureCarTrace returns ctx carrying the root span for car, opening
@@ -62,32 +62,6 @@ func endCarTrace(ctx context.Context, sp obs.TraceSpan, err error) {
 		status = "error"
 	}
 	sp.End(append(attrs, obs.TAttr("status", status))...)
-}
-
-// stageTrace is one in-flight stage span plus its pprof label scope.
-type stageTrace struct{ sp obs.TraceSpan }
-
-// traceStage opens a stage child span under the car's root span (a
-// no-op when the car is untraced) and applies the stage's profiler
-// label to the goroutine.
-func (p *Pipeline) traceStage(ctx context.Context, name string) stageTrace {
-	sp := obs.SpanFromContext(ctx)
-	if !sp.Active() {
-		return stageTrace{}
-	}
-	if lctx := stageLabelCtx[name]; lctx != nil {
-		pprof.SetGoroutineLabels(lctx)
-	}
-	return stageTrace{sp: sp.Child(name)}
-}
-
-// End closes the stage span with attrs and clears the profiler label.
-func (s stageTrace) End(attrs ...obs.TraceAttr) {
-	if !s.sp.Active() {
-		return
-	}
-	s.sp.End(attrs...)
-	pprof.SetGoroutineLabels(context.Background())
 }
 
 // itoa formats a small non-negative int without strconv in the span

@@ -28,7 +28,7 @@ func benchFixture(b *testing.B) (*core.Pipeline, []Point) {
 	benchFix.once.Do(func() {
 		cfg := tracegen.Config{Seed: 42, Cars: 32, TripsPerCar: 3, GateRunFraction: 0.4}
 		benchFix.p, benchFix.err = core.NewPipeline(core.Config{
-			CitySeed: 42, Layout: core.LayoutLegacy, Fleet: cfg,
+			CitySeed: 42, Fleet: cfg,
 		})
 		if benchFix.err != nil {
 			return

@@ -79,6 +79,9 @@ func DecodeNDJSON(r io.Reader, fn func(Point) error) error {
 		if err := json.Unmarshal(b, &p); err != nil {
 			return fmt.Errorf("ingest: line %d: %w", line, err)
 		}
+		if err := checkBounds(p); err != nil {
+			return fmt.Errorf("ingest: line %d: %w", line, err)
+		}
 		if err := fn(p); err != nil {
 			return err
 		}
@@ -109,8 +112,10 @@ func NewBinaryWriter(w io.Writer) (*BinaryWriter, error) {
 	return bw, nil
 }
 
-// Write frames one point.
-func (bw *BinaryWriter) Write(p Point) error {
+// checkBounds enforces the ranges the binary framing can carry — car
+// id and seq within int32, |time_ms| within trace.MaxEventTimeMs — so
+// both wire encodings accept exactly the same points.
+func checkBounds(p Point) error {
 	if int64(int32(p.Car)) != int64(p.Car) {
 		return fmt.Errorf("ingest: car id %d overflows int32", p.Car)
 	}
@@ -119,6 +124,14 @@ func (bw *BinaryWriter) Write(p Point) error {
 	}
 	if p.TimeMs < -trace.MaxEventTimeMs || p.TimeMs > trace.MaxEventTimeMs {
 		return fmt.Errorf("ingest: time %dms out of range", p.TimeMs)
+	}
+	return nil
+}
+
+// Write frames one point.
+func (bw *BinaryWriter) Write(p Point) error {
+	if err := checkBounds(p); err != nil {
+		return err
 	}
 	lon, err := trace.QuantLonLat(p.Lon)
 	if err != nil {
@@ -213,21 +226,21 @@ func (br *BinaryReader) Next() (Point, error) {
 	if _, err := io.ReadFull(br.r, body[:]); err != nil {
 		return Point{}, fmt.Errorf("ingest: read record body: %w", err)
 	}
-	ms := int64(binary.LittleEndian.Uint64(body[16:24]))
-	if ms < -trace.MaxEventTimeMs || ms > trace.MaxEventTimeMs {
-		return Point{}, fmt.Errorf("ingest: time %dms out of range", ms)
-	}
-	return Point{
+	p := Point{
 		Car:      int(int32(binary.LittleEndian.Uint32(body[0:4]))),
 		Trip:     int64(binary.LittleEndian.Uint64(body[4:12])),
 		Seq:      int(int32(binary.LittleEndian.Uint32(body[12:16]))),
-		TimeMs:   ms,
+		TimeMs:   int64(binary.LittleEndian.Uint64(body[16:24])),
 		Lon:      trace.DequantLonLat(int32(binary.LittleEndian.Uint32(body[24:28]))),
 		Lat:      trace.DequantLonLat(int32(binary.LittleEndian.Uint32(body[28:32]))),
 		SpeedKmh: trace.DequantSpeedKmh(int32(binary.LittleEndian.Uint32(body[32:36]))),
 		FuelMl:   trace.DequantFuelMl(int32(binary.LittleEndian.Uint32(body[36:40]))),
 		DistM:    trace.DequantDistM(int32(binary.LittleEndian.Uint32(body[40:44]))),
-	}, nil
+	}
+	if err := checkBounds(p); err != nil {
+		return Point{}, err
+	}
+	return p, nil
 }
 
 // ReadBinary decodes a whole binary stream.

@@ -2,7 +2,9 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -167,5 +169,60 @@ func TestBinaryRejectsBadStreams(t *testing.T) {
 	}
 	if err := bw.Write(Point{Lon: 1e30}); err == nil {
 		t.Fatal("out-of-range longitude accepted")
+	}
+}
+
+// TestDecodersShareBounds: the NDJSON decoder refuses exactly the
+// values the TAXIPNTB framing cannot carry — a car id or seq outside
+// int32, |time_ms| above trace.MaxEventTimeMs — with the binary
+// codec's error, and still accepts the extremes both can carry.
+func TestDecodersShareBounds(t *testing.T) {
+	cases := map[string]struct {
+		line, want string
+	}{
+		"seq overflow":    {`{"car":1,"trip":1,"seq":4294967296,"time_ms":1000}`, "point seq 4294967296 overflows int32"},
+		"negative seq":    {`{"car":1,"trip":1,"seq":-2147483649,"time_ms":1000}`, "point seq -2147483649 overflows int32"},
+		"car overflow":    {`{"car":2147483648,"trip":1,"seq":0,"time_ms":1000}`, "car id 2147483648 overflows int32"},
+		"time overflow":   {`{"car":1,"trip":1,"seq":0,"time_ms":9000000000000000000}`, "time 9000000000000000000ms out of range"},
+		"past the window": {`{"car":1,"trip":1,"seq":0,"time_ms":9223372036855}`, "time 9223372036855ms out of range"},
+		"before it":       {`{"car":1,"trip":1,"seq":0,"time_ms":-9223372036855}`, "time -9223372036855ms out of range"},
+	}
+	for name, tc := range cases {
+		body := `{"car":1,"trip":1,"seq":0,"time_ms":1000}` + "\n" + tc.line
+		n := 0
+		err := DecodeNDJSON(strings.NewReader(body), func(Point) error { n++; return nil })
+		if err == nil || err.Error() != "ingest: line 2: ingest: "+tc.want {
+			t.Errorf("%s: err = %v, want line 2: %q", name, err, tc.want)
+		}
+		if n != 1 {
+			t.Errorf("%s: decoded %d points before the error, want 1", name, n)
+		}
+		// The binary framing refuses the same point with the same error.
+		var p Point
+		if err := json.Unmarshal([]byte(tc.line), &p); err != nil {
+			t.Fatal(err)
+		}
+		if werr := WriteBinary(io.Discard, []Point{p}); werr == nil || werr.Error() != "ingest: "+tc.want {
+			t.Errorf("%s: binary writer err = %v, want %q", name, werr, tc.want)
+		}
+	}
+
+	extremes := []Point{
+		{Car: math.MaxInt32, Trip: 1, Seq: math.MaxInt32, TimeMs: trace.MaxEventTimeMs},
+		{Car: math.MinInt32, Trip: 1, Seq: math.MinInt32, TimeMs: -trace.MaxEventTimeMs},
+	}
+	var nd, bin bytes.Buffer
+	if err := WriteNDJSON(&nd, extremes); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&bin, extremes); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := DecodeNDJSON(&nd, func(Point) error { n++; return nil }); err != nil || n != 2 {
+		t.Fatalf("NDJSON extremes: %d decoded, err %v", n, err)
+	}
+	if got, err := ReadBinary(&bin); err != nil || len(got) != 2 {
+		t.Fatalf("binary extremes: %d decoded, err %v", len(got), err)
 	}
 }

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -41,12 +42,19 @@ type diffFixture struct {
 
 func newDiffFixture(t *testing.T) *diffFixture {
 	t.Helper()
+	return newLedgerDiffFixture(t, nil)
+}
+
+// newLedgerDiffFixture is newDiffFixture over a pipeline whose batch
+// runs commit into lin.
+func newLedgerDiffFixture(t *testing.T, lin *obs.Lineage) *diffFixture {
+	t.Helper()
 	p, err := core.NewPipeline(core.Config{
 		CitySeed: 42,
-		Layout:   core.LayoutLegacy,
 		Fleet: tracegen.Config{
 			Seed: 42, Cars: 32, TripsPerCar: 3, GateRunFraction: 0.4,
 		},
+		Lineage: lin,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,4 +348,52 @@ func checkLineage(t *testing.T, lin *obs.Lineage, st Stats) {
 		t.Fatalf("handoff broken: ingest.out = %d but clean.in = %d",
 			stages["ingest"].Out, stages["clean"].In)
 	}
+}
+
+// TestStreamedLedgerMatchesBatch pins the single stats → lineage
+// commit: replaying the differential fleet, ordered and shuffled, fills
+// the engine's clean, segment, odselect and mapmatch rows — in, out and
+// every drop reason — exactly as a batch run over the same trips fills
+// the pipeline's own ledger. The engine drives that same pipeline, so
+// the per-trip entry committing into the pipeline's ledger as well
+// would show up as doubled batch rows.
+func TestStreamedLedgerMatchesBatch(t *testing.T) {
+	batchLin := obs.NewLineage(nil)
+	fx := newLedgerDiffFixture(t, batchLin)
+	for _, car := range fx.cars {
+		if _, err := fx.p.ProcessContext(context.Background(), car, fx.byCar[car]); err != nil {
+			t.Fatalf("batch car %d: %v", car, err)
+		}
+	}
+	want := stageRows(batchLin)
+	if len(want) != 4 {
+		t.Fatalf("batch ledger rows = %v, want clean, segment, odselect and mapmatch", want)
+	}
+
+	shuffled := append([]Point(nil), fx.pts...)
+	ShuffleWindows(shuffled, 32, 20_000, 7)
+	for name, pts := range map[string][]Point{"ordered": fx.pts, "shuffled": shuffled} {
+		_, _, lin := fx.streamSnapshot(t, pts)
+		got := stageRows(lin)
+		for stage, w := range want {
+			if g := got[stage]; !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: %s row streamed %+v, batch %+v", name, stage, g, w)
+			}
+		}
+		if again := stageRows(batchLin); !reflect.DeepEqual(again, want) {
+			t.Fatalf("%s: the stream committed into the pipeline's ledger: %+v, want %+v", name, again, want)
+		}
+	}
+}
+
+// stageRows returns the ledger's per-trip stage rows by stage name.
+func stageRows(lin *obs.Lineage) map[string]obs.StageSnapshot {
+	rows := map[string]obs.StageSnapshot{}
+	for _, s := range lin.Snapshot(0).Stages {
+		switch s.Stage {
+		case "clean", "segment", "odselect", "mapmatch":
+			rows[s.Stage] = s
+		}
+	}
+	return rows
 }

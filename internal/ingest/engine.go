@@ -10,11 +10,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clean"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
-	"repro/internal/segment"
 	"repro/internal/sink"
 	"repro/internal/trace"
 )
@@ -105,8 +103,9 @@ type Engine struct {
 	closedTrips uint64
 	buffered    int
 
-	lin linHandles
-	met engineMetrics
+	lin    linHandles
+	ledger *core.Ledger // clean → mapmatch rows, one commit per flushed trip
+	met    engineMetrics
 
 	// flushMu serialises flush rounds so two concurrent watermark
 	// advances cannot interleave their sink publishes.
@@ -128,41 +127,19 @@ type tripBuf struct {
 	recvNs       []int64 // wall receive time per point, for visible latency
 }
 
+// linHandles are the ledger rows of ingest's own admission stage; the
+// stage rows downstream of it belong to the engine's core.Ledger.
 type linHandles struct {
-	ingest, clean, segment, od, match *obs.StageLineage
-
+	ingest                                          *obs.StageLineage
 	inNonFinite, inOutOfArea, inLate, inIdleResumed *obs.DropCounter
-	cleanNonFinite, cleanOutOfArea, cleanDup        *obs.DropCounter
-	cleanSpike                                      *obs.DropCounter
-	segShort, segLong                               *obs.DropCounter
-	odNoGate, odSingleGate, odOutsideCentre         *obs.DropCounter
-	odPostFilter, matchDegenerate, matchUnroutable  *obs.DropCounter
 }
 
 func newLinHandles(l *obs.Lineage) linHandles {
-	h := linHandles{
-		ingest:  l.Stage("ingest", "points"),
-		clean:   l.Stage("clean", "points"),
-		segment: l.Stage("segment", "segments"),
-		od:      l.Stage("odselect", "segments"),
-		match:   l.Stage("mapmatch", "transitions"),
-	}
+	h := linHandles{ingest: l.Stage("ingest", "points")}
 	h.inNonFinite = h.ingest.Reason(obs.DropNonFinite)
 	h.inOutOfArea = h.ingest.Reason(obs.DropOutOfArea)
 	h.inLate = h.ingest.Reason(obs.DropLate)
 	h.inIdleResumed = h.ingest.Reason(obs.DropIdleResumed)
-	h.cleanNonFinite = h.clean.Reason(obs.DropNonFinite)
-	h.cleanOutOfArea = h.clean.Reason(obs.DropOutOfArea)
-	h.cleanDup = h.clean.Reason(obs.DropDuplicateID)
-	h.cleanSpike = h.clean.Reason(obs.DropSpike)
-	h.segShort = h.segment.Reason(obs.DropTooFewPoints)
-	h.segLong = h.segment.Reason(obs.DropTooLong)
-	h.odNoGate = h.od.Reason(obs.DropNoGate)
-	h.odSingleGate = h.od.Reason(obs.DropSingleGate)
-	h.odOutsideCentre = h.od.Reason(obs.DropOutsideCentre)
-	h.odPostFilter = h.od.Reason(obs.DropPostFilter)
-	h.matchDegenerate = h.match.Reason(obs.DropDegenerateSpan)
-	h.matchUnroutable = h.match.Reason(obs.DropUnroutable)
 	return h
 }
 
@@ -185,13 +162,15 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	reg := cfg.Metrics
+	lin := newLinHandles(cfg.Lineage) // registers "ingest" ahead of the ledger's rows
 	e := &Engine{
-		cfg:   cfg,
-		proj:  cfg.Pipeline.City.DB.Proj,
-		area:  cfg.Pipeline.Config.Clean.Area,
-		cars:  map[int]*carState{},
-		drops: map[obs.DropReason]uint64{},
-		lin:   newLinHandles(cfg.Lineage),
+		cfg:    cfg,
+		proj:   cfg.Pipeline.City.DB.Proj,
+		area:   cfg.Pipeline.Config.Clean.Area,
+		cars:   map[int]*carState{},
+		drops:  map[obs.DropReason]uint64{},
+		lin:    lin,
+		ledger: core.NewLedger(cfg.Lineage),
 		met: engineMetrics{
 			received:    reg.Counter("ingest_points_received"),
 			admitted:    reg.Counter("ingest_points_admitted"),
@@ -452,58 +431,27 @@ func (e *Engine) advanceLocked() []closedTrip {
 	return out
 }
 
-// flush runs each closed trip through cleaning → segmentation → OD
-// selection → map-matching, absorbs the resulting transitions into the
-// sink and publishes one new epoch for the round. The caller holds
-// flushMu (never e.mu): stage work here runs concurrently with
-// admission.
+// flush runs each closed trip through the pipeline's stage driver
+// (core.Pipeline.ProcessTrip: cleaning → segmentation → OD selection →
+// map-matching → attributes), commits its stats into the engine's
+// ledger, absorbs its transitions into the sink and publishes one new
+// epoch for the round. The caller holds flushMu (never e.mu): stage
+// work here runs concurrently with admission.
 func (e *Engine) flush(closed []closedTrip) {
 	start := e.cfg.Now()
-	cleanCfg := e.cfg.Pipeline.Config.Clean
-	rules := e.cfg.Pipeline.Rules
 	ctx := context.Background()
 	absorbed := false
 	for _, ct := range closed {
-		trip := &trace.Trip{ID: ct.tb.id, CarID: ct.car, Points: ct.tb.pts}
-		res := clean.Repair(trip, cleanCfg)
-		kept := 0
-		if res.Trip != nil {
-			kept = len(res.Trip.Points)
+		cr, err := e.cfg.Pipeline.ProcessTrip(ctx, &trace.Trip{ID: ct.tb.id, CarID: ct.car, Points: ct.tb.pts})
+		if err != nil && e.cfg.Log != nil {
+			e.cfg.Log.Error("ingest: trip analysis failed",
+				slog.Int("car", ct.car), slog.Int64("trip", ct.tb.id), slog.String("error", err.Error()))
 		}
-		e.lin.clean.RecordCar(ct.car, uint64(len(ct.tb.pts)), uint64(kept))
-		e.lin.cleanNonFinite.Add(uint64(res.Drops.NonFinite))
-		e.lin.cleanOutOfArea.Add(uint64(res.Drops.OutOfArea))
-		e.lin.cleanDup.Add(uint64(res.Drops.DuplicateID))
-		e.lin.cleanSpike.Add(uint64(res.Drops.Spike))
-
-		var segs []*trace.Trip
-		var segStats segment.Stats
-		if res.Trip != nil {
-			segs = segment.Split(res.Trip, rules, &segStats)
-		}
-		e.lin.segment.RecordCar(ct.car, uint64(segStats.RawSegments), uint64(segStats.KeptSegments))
-		e.lin.segShort.Add(uint64(segStats.TooFewPoints))
-		e.lin.segLong.Add(uint64(segStats.TooLong))
-
-		var recs []*core.TransitionRecord
-		if len(segs) > 0 {
-			funnel, ms, matched, err := e.cfg.Pipeline.AnalyseSegments(ctx, ct.car, segs)
-			if err != nil && e.cfg.Log != nil {
-				e.cfg.Log.Error("ingest: trip analysis failed",
-					slog.Int("car", ct.car), slog.Int64("trip", ct.tb.id), slog.String("error", err.Error()))
-			}
-			recs = matched
-			e.lin.od.RecordCar(ct.car, uint64(funnel.TripSegments), uint64(funnel.PostFiltered))
-			e.lin.odNoGate.Add(uint64(funnel.TripSegments - funnel.Filtered))
-			e.lin.odSingleGate.Add(uint64(funnel.Filtered - funnel.Transitions))
-			e.lin.odOutsideCentre.Add(uint64(funnel.Transitions - funnel.WithinCentre))
-			e.lin.odPostFilter.Add(uint64(funnel.WithinCentre - funnel.PostFiltered))
-			e.lin.match.RecordCar(ct.car, uint64(ms.Matched+ms.Degenerate+ms.Unroutable), uint64(ms.Matched))
-			e.lin.matchDegenerate.Add(uint64(ms.Degenerate))
-			e.lin.matchUnroutable.Add(uint64(ms.Unroutable))
-		}
-		if e.cfg.Sink != nil && len(recs) > 0 {
-			e.cfg.Sink.AbsorbTransitions(ct.car, recs)
+		// A failed trip still commits and absorbs what the stages
+		// produced before the failure.
+		e.ledger.Commit(&cr)
+		if e.cfg.Sink != nil && len(cr.Transitions) > 0 {
+			e.cfg.Sink.AbsorbTransitions(ct.car, cr.Transitions)
 			absorbed = true
 		}
 

@@ -24,7 +24,6 @@ func testPipeline(t *testing.T) *core.Pipeline {
 	sharedPipe.once.Do(func() {
 		sharedPipe.p, sharedPipe.err = core.NewPipeline(core.Config{
 			CitySeed: 42,
-			Layout:   core.LayoutLegacy,
 			Fleet: tracegen.Config{
 				Seed: 42, Cars: 2, TripsPerCar: 4, GateRunFraction: 0.3,
 			},

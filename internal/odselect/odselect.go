@@ -112,6 +112,17 @@ type Transition struct {
 // unique transition identifier.
 func (t *Transition) Key() trace.Key { return t.Seg.Key() }
 
+// Span returns the segment's points from the origin crossing's entry
+// to the destination crossing's exit (in index order), the trajectory
+// the analysis measures.
+func (t *Transition) Span() []trace.RoutePoint {
+	lo, hi := t.FromCross.EntryIndex, t.ToCross.ExitIndex
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return t.Seg.Points[lo : hi+1]
+}
+
 // Classification is the outcome for one trip segment.
 type Classification struct {
 	Stage      Stage

@@ -1,7 +1,7 @@
 package runner
 
 // FaultInjector forces failures into a fleet run for testing: the
-// pipeline calls Inject at the entry of every per-car stage and fails
+// pipeline calls Inject at the entry of every stage boundary and fails
 // that stage with whatever error comes back. An injector may also
 // panic (exercising the runner's panic isolation) or sleep (simulating
 // a slow car under cancellation). Production runs leave it nil.

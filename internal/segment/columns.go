@@ -11,7 +11,7 @@ import (
 // arena-backed view, with segments returned as zero-copy subviews
 // instead of copied point slices. The rule expressions reuse the
 // row-oriented shapes exactly, so a segment's membership — and every
-// Stats counter — is identical between the two layouts.
+// Stats counter — is identical between the two kernels.
 
 // subNsSeg returns a-b as a Duration with time.Time.Sub's saturation.
 func subNsSeg(a, b int64) time.Duration {

@@ -32,7 +32,6 @@ func ingestPipeline(t *testing.T) *core.Pipeline {
 	ingestPipe.once.Do(func() {
 		ingestPipe.p, ingestPipe.err = core.NewPipeline(core.Config{
 			CitySeed: 42,
-			Layout:   core.LayoutLegacy,
 			Fleet: tracegen.Config{
 				Seed: 42, Cars: 2, TripsPerCar: 2, GateRunFraction: 0.3,
 			},
@@ -201,5 +200,34 @@ func TestIngestBadBody(t *testing.T) {
 	}
 	if st := e.Stats(); st.Received != 1 {
 		t.Fatalf("engine received %d points, want the 1 decoded before the error", st.Received)
+	}
+}
+
+// TestIngestRefusesUnrepresentablePoints: NDJSON values the binary
+// framing cannot carry (seq outside int32, time_ms outside the
+// nanosecond window) fail the body with the same 400 envelope as a
+// malformed line, after admitting what decoded before them.
+func TestIngestRefusesUnrepresentablePoints(t *testing.T) {
+	for _, bad := range []string{
+		`{"car":1,"trip":1,"seq":4294967296,"time_ms":2000,"lon":25.4,"lat":65.0}`,
+		`{"car":1,"trip":1,"seq":1,"time_ms":9000000000000000000,"lon":25.4,"lat":65.0}`,
+	} {
+		e, api := newIngestAPI(t)
+		body := `{"car":1,"trip":1,"seq":0,"time_ms":1000,"lon":25.4,"lat":65.0}` + "\n" + bad
+		rec := post(t, api, "/v1/ingest", "application/x-ndjson", strings.NewReader(body), nil)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", bad, rec.Code)
+		}
+		var env errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("bad envelope: %v\n%s", err, rec.Body.String())
+		}
+		if env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, "line 2") ||
+			!strings.Contains(env.Error.Message, "1 points accepted before the error") {
+			t.Fatalf("%s: envelope = %+v", bad, env.Error)
+		}
+		if st := e.Stats(); st.Received != 1 {
+			t.Fatalf("%s: engine received %d points, want 1", bad, st.Received)
+		}
 	}
 }

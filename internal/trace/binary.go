@@ -135,8 +135,8 @@ func WriteBinary(w io.Writer, trips []*Trip, proj *geo.Projection) error {
 		binary.LittleEndian.PutUint32(rec[0:4], uint32(recLen))
 		binary.LittleEndian.PutUint64(rec[4:12], uint64(t.ID))
 		binary.LittleEndian.PutUint32(rec[12:16], uint32(int32(t.CarID)))
-		if int(int32(t.CarID)) != t.CarID {
-			return fmt.Errorf("trace: trip %d car id %d overflows int32", t.ID, t.CarID)
+		if err := checkCarID(t.ID, t.CarID); err != nil {
+			return err
 		}
 		binary.LittleEndian.PutUint32(rec[16:20], uint32(int32(n)))
 
@@ -149,8 +149,8 @@ func WriteBinary(w io.Writer, trips []*Trip, proj *geo.Projection) error {
 		dists := fuels[4*n:]
 		for i := range t.Points {
 			p := &t.Points[i]
-			if int(int32(p.PointID)) != p.PointID {
-				return fmt.Errorf("trace: trip %d point id %d overflows int32", t.ID, p.PointID)
+			if err := checkPointID(t.ID, p.PointID); err != nil {
+				return err
 			}
 			ll := proj.ToPoint(p.Pos)
 			lon, err := quantInt32(qbuf[:], ll.Lon, lonLatPrec, "lon", t.ID)
@@ -255,6 +255,31 @@ func (br *BinaryReader) readBody(need int) ([]byte, error) {
 // used by the columnar store.
 const maxTimeMs = math.MaxInt64 / int64(time.Millisecond)
 
+// The per-value bounds every trace reader and writer enforces, so the
+// CSV and binary formats accept exactly the same values: car and point
+// ids fit int32 and timestamps fit the columnar store's window.
+
+func checkCarID(tripID int64, car int) error {
+	if int64(int32(car)) != int64(car) {
+		return fmt.Errorf("trace: trip %d car id %d overflows int32", tripID, car)
+	}
+	return nil
+}
+
+func checkPointID(tripID int64, id int) error {
+	if int64(int32(id)) != int64(id) {
+		return fmt.Errorf("trace: trip %d point id %d overflows int32", tripID, id)
+	}
+	return nil
+}
+
+func checkTimeMs(tripID, ms int64) error {
+	if ms < -maxTimeMs || ms > maxTimeMs {
+		return fmt.Errorf("trace: trip %d time %dms out of range", tripID, ms)
+	}
+	return nil
+}
+
 // Next decodes the next trip record into the arena and returns its
 // view. It returns io.EOF at a clean end of file.
 func (br *BinaryReader) Next(a *Arena) (ColTrip, error) {
@@ -296,8 +321,8 @@ func (br *BinaryReader) Next(a *Arena) (ColTrip, error) {
 	dists := fuels[4*n:]
 	for i := 0; i < n; i++ {
 		ms := int64(binary.LittleEndian.Uint64(times[8*i:]))
-		if ms < -maxTimeMs || ms > maxTimeMs {
-			return ColTrip{}, fmt.Errorf("trace: trip %d time %dms out of range", tripID, ms)
+		if err := checkTimeMs(tripID, ms); err != nil {
+			return ColTrip{}, err
 		}
 		j := v.Off + i
 		v.Cols.PointIDs[j] = int32(binary.LittleEndian.Uint32(ids[4*i:]))

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -98,35 +99,40 @@ func (a *Arena) Alloc(id int64, carID, n int) ColTrip {
 }
 
 // Bounds on times representable in the int64-nanosecond column
-// (roughly 1678..2262). Trips outside — including zero times — must
-// stay on the row-oriented path.
+// (roughly 1678..2262); the zero time.Time lies outside.
 var (
 	minColTime = time.Unix(0, math.MinInt64)
 	maxColTime = time.Unix(0, math.MaxInt64)
 )
 
+// ErrUnrepresentable is wrapped by every AppendTrip refusal: the trip
+// holds a point the columnar layout cannot store without information
+// loss. The trace readers and the ingest decoders refuse such values,
+// so only trips built in code reach it.
+var ErrUnrepresentable = errors.New("trace: trip not representable in columns")
+
 // AppendTrip copies a trip's points into the arena and returns the
-// view. It fails, leaving the arena unchanged, when the trip cannot be
-// represented columnarly without information loss: a point id outside
-// int32, a timestamp outside the nanosecond-representable window or
-// not in UTC, or a point whose TripID disagrees with the trip (the
-// columnar layout stores trip identity once, so a mismatch could not
-// be reproduced when materialising). Callers fall back to the
-// row-oriented path on error.
+// view. It fails with an error wrapping ErrUnrepresentable, leaving the
+// arena unchanged, when the trip cannot be represented columnarly
+// without information loss: a point id outside int32, a timestamp
+// outside the nanosecond-representable window or not in UTC, or a
+// point whose TripID disagrees with the trip (the columnar layout
+// stores trip identity once, so a mismatch could not be reproduced
+// when materialising).
 func (a *Arena) AppendTrip(t *Trip) (ColTrip, error) {
 	for i := range t.Points {
 		p := &t.Points[i]
 		if int64(int32(p.PointID)) != int64(p.PointID) {
-			return ColTrip{}, fmt.Errorf("trace: trip %d point id %d overflows int32", t.ID, p.PointID)
+			return ColTrip{}, fmt.Errorf("%w: trip %d point id %d overflows int32", ErrUnrepresentable, t.ID, p.PointID)
 		}
 		if p.Time.Before(minColTime) || p.Time.After(maxColTime) {
-			return ColTrip{}, fmt.Errorf("trace: trip %d time %v outside columnar range", t.ID, p.Time)
+			return ColTrip{}, fmt.Errorf("%w: trip %d time %v outside the nanosecond range", ErrUnrepresentable, t.ID, p.Time)
 		}
 		if p.Time.Location() != time.UTC {
-			return ColTrip{}, fmt.Errorf("trace: trip %d time %v not UTC", t.ID, p.Time)
+			return ColTrip{}, fmt.Errorf("%w: trip %d time %v not UTC", ErrUnrepresentable, t.ID, p.Time)
 		}
 		if p.TripID != t.ID {
-			return ColTrip{}, fmt.Errorf("trace: trip %d contains point of trip %d", t.ID, p.TripID)
+			return ColTrip{}, fmt.Errorf("%w: trip %d contains a point of trip %d", ErrUnrepresentable, t.ID, p.TripID)
 		}
 	}
 	v := a.Alloc(t.ID, t.CarID, len(t.Points))

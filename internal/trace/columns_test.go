@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -57,8 +58,8 @@ func TestArenaAppendTripRejections(t *testing.T) {
 	for name, corrupt := range cases {
 		tr := mkTrip(1, 0, 0, 10, 0, 20, 0)
 		corrupt(tr)
-		if _, err := a.AppendTrip(tr); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := a.AppendTrip(tr); !errors.Is(err, ErrUnrepresentable) {
+			t.Errorf("%s: err = %v, want ErrUnrepresentable", name, err)
 		}
 		if a.Len() != 0 {
 			t.Fatalf("%s: rejection left %d rows in the arena", name, a.Len())

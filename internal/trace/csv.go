@@ -150,6 +150,15 @@ func parsePointRecord(rec []string, proj *geo.Projection) (RoutePoint, int, erro
 	if err != nil {
 		return RoutePoint{}, 0, fmt.Errorf("dist_m: %w", err)
 	}
+	if err := checkCarID(tripID, carID); err != nil {
+		return RoutePoint{}, 0, err
+	}
+	if err := checkPointID(tripID, pointID); err != nil {
+		return RoutePoint{}, 0, err
+	}
+	if err := checkTimeMs(tripID, unixMs); err != nil {
+		return RoutePoint{}, 0, err
+	}
 	return RoutePoint{
 		PointID:  pointID,
 		TripID:   tripID,

@@ -152,6 +152,52 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVSharesBinaryBounds: ReadCSV refuses the values the
+// binary format cannot carry — car and point ids outside int32, a
+// unix_ms outside the nanosecond window ReadBinary enforces — with the
+// binary format's error, and accepts the extremes both formats carry.
+func TestReadCSVSharesBinaryBounds(t *testing.T) {
+	proj := geo.NewProjection(geo.Point{Lon: 25.47, Lat: 65.01})
+	header := "car_id,trip_id,point_id,unix_ms,lon,lat,speed_kmh,fuel_ml,dist_m\n"
+	cases := map[string]struct{ row, want string }{
+		"point id overflow": {"1,7,4294967296,1000,25.47,65.01,0,0,0", "trip 7 point id 4294967296 overflows int32"},
+		"negative point id": {"1,7,-2147483649,1000,25.47,65.01,0,0,0", "trip 7 point id -2147483649 overflows int32"},
+		"car id overflow":   {"2147483648,7,1,1000,25.47,65.01,0,0,0", "trip 7 car id 2147483648 overflows int32"},
+		"time overflow":     {"1,7,1,9000000000000000000,25.47,65.01,0,0,0", "trip 7 time 9000000000000000000ms out of range"},
+		"past the window":   {"1,7,1,9223372036855,25.47,65.01,0,0,0", "trip 7 time 9223372036855ms out of range"},
+		"before it":         {"1,7,1,-9223372036855,25.47,65.01,0,0,0", "trip 7 time -9223372036855ms out of range"},
+	}
+	for name, tc := range cases {
+		_, err := ReadCSV(strings.NewReader(header+"1,7,0,1000,25.47,65.01,0,0,0\n"+tc.row+"\n"), proj)
+		if err == nil || err.Error() != "trace: line 3: trace: "+tc.want {
+			t.Errorf("%s: err = %v, want line 3: %q", name, err, tc.want)
+		}
+	}
+
+	// The extremes both formats carry survive a CSV → binary → read
+	// round trip unchanged.
+	in := header + "2147483647,7,2147483647,9223372036854,25.47,65.01,0,0,0\n" +
+		"-2147483648,8,-2147483648,-9223372036854,25.47,65.01,0,0,0\n"
+	trips, err := ReadCSV(strings.NewReader(in), proj)
+	if err != nil || len(trips) != 2 {
+		t.Fatalf("extremes: %d trips, err %v", len(trips), err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, trips, proj); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadBinary(&buf, proj)
+	if err != nil || len(back) != 2 {
+		t.Fatalf("binary round trip: %d trips, err %v", len(back), err)
+	}
+	for i := range trips {
+		if back[i].CarID != trips[i].CarID || back[i].Points[0].PointID != trips[i].Points[0].PointID ||
+			!back[i].Points[0].Time.Equal(trips[i].Points[0].Time) {
+			t.Fatalf("trip %d: binary %+v, csv %+v", i, back[i].Points[0], trips[i].Points[0])
+		}
+	}
+}
+
 func TestWriteGeoJSON(t *testing.T) {
 	proj := geo.NewProjection(geo.Point{Lon: 25.47, Lat: 65.01})
 	trips := []*Trip{mkTrip(7, 0, 0, 100, 0, 100, 100)}

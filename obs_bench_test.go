@@ -1,13 +1,13 @@
 package taxitrace
 
 // Observability overhead benchmark: the same fleet workload as
-// BenchmarkFleet (columnar layout, binary ingest) run with the
-// observability stack off, partially on, and fully on.
+// BenchmarkFleet (binary ingest) run with the observability stack off,
+// partially on, and fully on.
 //
 // The obs=off arm is configured identically to BenchmarkFleet's
-// cars=1000/layout=columnar/format=binary arm — a nil tracer, no
-// ledger, no registry — so it measures exactly what a disabled tracer
-// costs the hot path (the no-op branches in ensureCarTrace/traceStage):
+// cars=1000/format=binary arm — a nil tracer, no ledger, no registry —
+// so it measures exactly what a disabled tracer costs the hot path
+// (the no-op branches in ensureCarTrace and the stage handles):
 // its throughput must stay within 1% of the pre-observability
 // BENCH_fleet.json number for the same arm. obs=lineage prices the
 // always-on drop-reason ledger + metrics, obs=sampled prices tracing a
@@ -34,7 +34,6 @@ const obsBenchCars = 1000
 func obsPipeline(b *testing.B, tr *obs.Tracer, lin *obs.Lineage, reg *obs.Registry) *core.Pipeline {
 	b.Helper()
 	p, err := core.NewPipeline(core.Config{
-		Layout:   core.LayoutColumnar,
 		CitySeed: fleetSeed,
 		Fleet: tracegen.Config{
 			Seed:            fleetSeed,

@@ -47,9 +47,9 @@
 // results incrementally as they complete. The execution surface is
 // context-first throughout: RunContext, RunCarContext and
 // ProcessContext (the historical ctx-free Run/RunCar/Process wrappers
-// have been removed), plus Pipeline.AnalyseSegments for callers that
-// segment incrementally, such as the event-time ingest layer
-// (internal/ingest).
+// have been removed), plus Pipeline.ProcessTrip, the per-trip entry
+// the event-time ingest layer (internal/ingest) drives through the
+// same stages as each trip closes.
 //
 // The experiments subpackage (internal/experiments) regenerates every
 // table and figure of the paper; cmd/experiments writes them to disk.
@@ -67,22 +67,6 @@ type Config = core.Config
 
 // Pipeline is a ready-to-run reproduction pipeline.
 type Pipeline = core.Pipeline
-
-// Layout selects the point-storage layout for the per-car hot path
-// (Config.Layout): columnar struct-of-arrays by default, with the
-// row-oriented legacy path available for differential testing.
-type Layout = core.Layout
-
-// Layout values.
-const (
-	LayoutAuto     = core.LayoutAuto
-	LayoutColumnar = core.LayoutColumnar
-	LayoutLegacy   = core.LayoutLegacy
-)
-
-// ParseLayout parses a -layout style flag value ("", "auto",
-// "columnar", "legacy").
-func ParseLayout(s string) (Layout, error) { return core.ParseLayout(s) }
 
 // Result is the full fleet output of Pipeline.Run.
 type Result = core.Result
