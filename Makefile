@@ -129,32 +129,37 @@ perfbench:
 		echo "$$res" | grep -Eq '"correct": ?true' || { echo "perfbench $$w: output checks failed"; exit 1; }; \
 	done
 
+# bench_snapshot is the one recipe behind the bench-* targets: run a
+# benchmark set, tee the output to /tmp/bench_<name>.txt and snapshot
+# it via cmd/benchfmt into results/BENCH_<name>.json.
+#   $(1) name, $(2) -bench pattern, $(3) go test flags, $(4) packages,
+#   $(5) notes (pass a variable: notes hold commas), $(6) optional
+#   benchmark-name prefix of frozen baseline lines grepped from
+#   results/bench_<name>_seed.txt and fed to benchfmt ahead of the run.
+define bench_snapshot
+$(GO) test -run xxx -bench '$(2)' $(3) $(4) | tee /tmp/bench_$(1).txt
+$(if $(6),{ grep '^$(6)' results/bench_$(1)_seed.txt; cat /tmp/bench_$(1).txt; } | )$(GO) run ./cmd/benchfmt \
+	-snapshot "$$(date +%Y-%m-%d)" \
+	-command "go test -run xxx -bench '$(2)' $(3) $(4)" \
+	-notes "$(5)" \
+	$(if $(6),,< /tmp/bench_$(1).txt )> results/BENCH_$(1).json
+@echo "wrote results/BENCH_$(1).json"
+endef
+
 # Fleet-runner perf trajectory: whole-fleet batch vs stream at 1, 4 and
 # GOMAXPROCS workers, medians over 5 repetitions, snapshotted into
-# results/BENCH_runner.json via cmd/benchfmt.
+# results/BENCH_runner.json.
+runner_notes := 8-car fleet x 30 trips/car, seed 42, warm router cache
 bench-runner:
-	$(GO) test -run xxx -bench 'BenchmarkFleetRunner' -benchmem -count=5 . \
-		| tee /tmp/bench_runner.txt
-	$(GO) run ./cmd/benchfmt \
-		-snapshot "$$(date +%Y-%m-%d)" \
-		-command "go test -run xxx -bench 'BenchmarkFleetRunner' -benchmem -count=5 ." \
-		-notes "8-car fleet x 30 trips/car, seed 42, warm router cache" \
-		< /tmp/bench_runner.txt > results/BENCH_runner.json
-	@echo "wrote results/BENCH_runner.json"
+	$(call bench_snapshot,runner,BenchmarkFleetRunner,-benchmem -count=5,.,$(runner_notes))
 
 # Serving-layer perf trajectory: sink ingest-merge throughput (single
 # and contended writers, publish/merge cost) and query latency per
 # endpoint plus p50/p99 under concurrent read+ingest load, medians over
 # 5 repetitions, snapshotted into results/BENCH_serve.json.
+serve_notes := 512-car snapshot, 8-point transitions, 4 ingest shards
 bench-serve:
-	$(GO) test -run xxx -bench 'BenchmarkSink|BenchmarkServe' -benchmem -count=5 \
-		./internal/sink/ ./internal/serve/ | tee /tmp/bench_serve.txt
-	$(GO) run ./cmd/benchfmt \
-		-snapshot "$$(date +%Y-%m-%d)" \
-		-command "go test -run xxx -bench 'BenchmarkSink|BenchmarkServe' -benchmem -count=5 ./internal/sink/ ./internal/serve/" \
-		-notes "512-car snapshot, 8-point transitions, 4 ingest shards" \
-		< /tmp/bench_serve.txt > results/BENCH_serve.json
-	@echo "wrote results/BENCH_serve.json"
+	$(call bench_snapshot,serve,BenchmarkSink|BenchmarkServe,-benchmem -count=5,./internal/sink/ ./internal/serve/,$(serve_notes))
 
 # Fleet-scale perf trajectory: the cars × format matrix plus
 # the per-car ingest microbenches, single-shot runs with medians over 3
@@ -163,30 +168,17 @@ bench-serve:
 # recorded on the seed revision of this workload) is concatenated in
 # front so the snapshot carries both sides of the before/after
 # comparison. FLEET_CARS=N benchmarks an extra (e.g. 100000) size.
+fleet_notes := 32-car pool replicated per fleet size, 3 trips/car, seed 42; BenchmarkFleetSeed = frozen pre-columnar baseline (results/bench_fleet_seed.txt)
 bench-fleet:
-	$(GO) test -run xxx -bench '^BenchmarkFleet' -benchmem -benchtime=1x -count=3 . \
-		| tee /tmp/bench_fleet.txt
-	{ grep '^BenchmarkFleetSeed' results/bench_fleet_seed.txt; cat /tmp/bench_fleet.txt; } \
-		| $(GO) run ./cmd/benchfmt \
-		-snapshot "$$(date +%Y-%m-%d)" \
-		-command "go test -run xxx -bench '^BenchmarkFleet' -benchmem -benchtime=1x -count=3 ." \
-		-notes "32-car pool replicated per fleet size, 3 trips/car, seed 42; BenchmarkFleetSeed = frozen pre-columnar baseline (results/bench_fleet_seed.txt)" \
-		> results/BENCH_fleet.json
-	@echo "wrote results/BENCH_fleet.json"
+	$(call bench_snapshot,fleet,^BenchmarkFleet,-benchmem -benchtime=1x -count=3,.,$(fleet_notes),BenchmarkFleetSeed)
 
 # Observability overhead: the BenchmarkFleet workload (1000 cars,
 # binary ingest) with the obs stack off (nil tracer —
 # must stay within 1% of the pre-observability BENCH_fleet.json arm),
 # lineage+metrics only, a 10% trace sample, and every car traced.
+obs_notes := 1000-car fleet, binary ingest; obs=off (nil tracer, <=1% of pre-observability BENCH_fleet baseline), obs=lineage adds ledger+metrics, obs=sampled traces 10% of cars, obs=traced traces all
 bench-obs:
-	$(GO) test -run xxx -bench '^BenchmarkFleetObs' -benchmem -benchtime=1x -count=5 . \
-		| tee /tmp/bench_obs.txt
-	$(GO) run ./cmd/benchfmt \
-		-snapshot "$$(date +%Y-%m-%d)" \
-		-command "go test -run xxx -bench '^BenchmarkFleetObs' -benchmem -benchtime=1x -count=5 ." \
-		-notes "1000-car fleet, binary ingest; obs=off (nil tracer, <=1% of pre-observability BENCH_fleet baseline), obs=lineage adds ledger+metrics, obs=sampled traces 10% of cars, obs=traced traces all" \
-		< /tmp/bench_obs.txt > results/BENCH_obs.json
-	@echo "wrote results/BENCH_obs.json"
+	$(call bench_snapshot,obs,^BenchmarkFleetObs,-benchmem -benchtime=1x -count=5,.,$(obs_notes))
 
 # Streaming-ingest perf trajectory: the 32-car differential fixture
 # replayed as an event-time firehose (ordered, and shuffled within the
@@ -194,15 +186,9 @@ bench-obs:
 # ingest-to-visible latency, plus the bare NDJSON/binary frame
 # decoders; medians over 5 single-shot runs (one op is a whole fleet
 # replay) into results/BENCH_ingest.json.
+ingest_notes := 32-car fleet x 3 trips flattened to a point firehose, 30s lateness, watermark every 256 points; ordered vs bounded-shuffle replay through admission/watermark/trip-close into the sink, plus NDJSON vs TAXIPNTB decode
 bench-ingest:
-	$(GO) test -run xxx -bench '^BenchmarkIngest' -benchmem -benchtime=1x -count=5 \
-		./internal/ingest/ | tee /tmp/bench_ingest.txt
-	$(GO) run ./cmd/benchfmt \
-		-snapshot "$$(date +%Y-%m-%d)" \
-		-command "go test -run xxx -bench '^BenchmarkIngest' -benchmem -benchtime=1x -count=5 ./internal/ingest/" \
-		-notes "32-car fleet x 3 trips flattened to a point firehose, 30s lateness, watermark every 256 points; ordered vs bounded-shuffle replay through admission/watermark/trip-close into the sink, plus NDJSON vs TAXIPNTB decode" \
-		< /tmp/bench_ingest.txt > results/BENCH_ingest.json
-	@echo "wrote results/BENCH_ingest.json"
+	$(call bench_snapshot,ingest,^BenchmarkIngest,-benchmem -benchtime=1x -count=5,./internal/ingest/,$(ingest_notes))
 
 # Multi-node scaling trajectory: the paced-feed fleet (every car
 # charges a fixed trace-acquisition latency) run by 1 vs 4 real worker
@@ -210,30 +196,18 @@ bench-ingest:
 # cars/s; medians over 3 single-shot runs (one op is a whole cluster
 # lifecycle) into results/BENCH_cluster.json. The 4-shard arm must
 # hold >=2.5x the single-node baseline.
+cluster_notes := 49-car fleet x 4 trips, 200ms paced feed per car; worker processes re-exec the test binary, coordinator pulls+merges partials over localhost HTTP; cars/s is merged-fleet throughput, 4 shards must be >=2.5x 1 shard
 bench-cluster:
-	$(GO) test -run xxx -bench '^BenchmarkClusterWorkers' -benchtime=1x -count=3 \
-		./internal/cluster/ | tee /tmp/bench_cluster.txt
-	$(GO) run ./cmd/benchfmt \
-		-snapshot "$$(date +%Y-%m-%d)" \
-		-command "go test -run xxx -bench '^BenchmarkClusterWorkers' -benchtime=1x -count=3 ./internal/cluster/" \
-		-notes "49-car fleet x 4 trips, 200ms paced feed per car; worker processes re-exec the test binary, coordinator pulls+merges partials over localhost HTTP; cars/s is merged-fleet throughput, 4 shards must be >=2.5x 1 shard" \
-		< /tmp/bench_cluster.txt > results/BENCH_cluster.json
-	@echo "wrote results/BENCH_cluster.json"
+	$(call bench_snapshot,cluster,^BenchmarkClusterWorkers,-benchtime=1x -count=3,./internal/cluster/,$(cluster_notes))
 
 # Prediction-layer perf trajectory: one /v1/predict evaluation (profile
 # fold + weighted shortest path) on a 24x24 street grid with and
 # without learned profiles, and one /v1/anomalies evaluation (score +
 # fold) at 100 and 1000 cells; medians over 5 repetitions into
 # results/BENCH_predict.json.
+predict_notes := 24x24 grid (1100 edges), 36 km/h, profiles on every edge at 3 rush hours; anomaly reports score+fold 100/1000 cells + 1 OD against a 4-epoch EW reference
 bench-predict:
-	$(GO) test -run xxx -bench 'BenchmarkPredict|BenchmarkAnomalyReport' -benchmem -count=5 \
-		./internal/predict/ | tee /tmp/bench_predict.txt
-	$(GO) run ./cmd/benchfmt \
-		-snapshot "$$(date +%Y-%m-%d)" \
-		-command "go test -run xxx -bench 'BenchmarkPredict|BenchmarkAnomalyReport' -benchmem -count=5 ./internal/predict/" \
-		-notes "24x24 grid (1100 edges), 36 km/h, profiles on every edge at 3 rush hours; anomaly reports score+fold 100/1000 cells + 1 OD against a 4-epoch EW reference" \
-		< /tmp/bench_predict.txt > results/BENCH_predict.json
-	@echo "wrote results/BENCH_predict.json"
+	$(call bench_snapshot,predict,BenchmarkPredict|BenchmarkAnomalyReport,-benchmem -count=5,./internal/predict/,$(predict_notes))
 
 # Regenerate every paper table and figure (plus ablations) into results/.
 results:

@@ -20,12 +20,13 @@ import (
 
 // The stage driver: the one implementation of the per-trip stage
 // sequence clean → segment → odselect → mapmatch → mapattr. It runs
-// on struct-of-arrays columns in a pooled per-car arena: input trips
-// are copied (or binary-decoded) into the arena once, the cleaning
-// kernel appends realigned trips to the same arena, segmentation
-// yields zero-copy subviews, and only the kept segments are
-// materialised back into row form — the CarResult contract, and every
-// stage from OD selection on, speaks rows.
+// on struct-of-arrays columns: batch input trips are copied (or
+// binary-decoded) into a pooled per-car arena once, a streamed trip
+// arrives as a view of the columns its caller buffered, the cleaning
+// kernel appends realigned trips to the arena, segmentation yields
+// zero-copy subviews, and only the kept segments are materialised
+// back into row form — the CarResult contract, and every stage from
+// OD selection on, speaks rows.
 //
 // Batch is a bounded stream: the batch entries (ProcessContext,
 // ProcessBinaryContext) drive a whole car inside the per-car envelope
@@ -55,6 +56,7 @@ func (p *Pipeline) getScratch() *carScratch {
 
 func (p *Pipeline) putScratch(sc *carScratch) {
 	sc.arena.Reset()
+	clear(sc.views) // a streamed view points into its caller's buffer
 	sc.views = sc.views[:0]
 	sc.cleaned = sc.cleaned[:0]
 	sc.segments = sc.segments[:0]
@@ -142,13 +144,7 @@ func (p *Pipeline) ProcessBinaryContext(ctx context.Context, car int, r io.Reade
 	cr := CarResult{Car: car}
 	err := p.decodeBinary(car, r, sc)
 	if err == nil {
-		cr, err = p.processCar(ctx, car, len(sc.views), sc, func() error {
-			if p.checker == nil {
-				return nil
-			}
-			// The validator speaks rows; materialise only when checking.
-			return p.checkInput(car, trace.MaterializeAll(sc.views, false))
-		})
+		cr, err = p.processCar(ctx, car, len(sc.views), sc, func() error { return p.checkViews(car, sc.views) })
 	}
 	endCarTrace(ctx, root, err)
 	return cr, err
@@ -156,16 +152,19 @@ func (p *Pipeline) ProcessBinaryContext(ctx context.Context, car int, r io.Reade
 
 // ProcessTrip drives one trip through the stages — the streaming
 // entry, which internal/ingest calls once per trip its watermark
-// closes. It has the batch entries' input boundary but none of their
-// per-car envelope (no pipeline_car span, no car root span) and
-// commits nothing: the caller commits the returned stats into its own
-// ledger with Ledger.Commit. On error the CarResult holds what the
-// stages produced before failing.
-func (p *Pipeline) ProcessTrip(ctx context.Context, trip *trace.Trip) (CarResult, error) {
+// closes, with a view of the columns it buffered the trip in. The
+// stages read the view in place and never write it. It has the batch
+// entries' input boundary but none of their per-car envelope (no
+// pipeline_car span, no car root span) and commits nothing: the caller
+// commits the returned stats into its own ledger with Ledger.Commit.
+// On error the CarResult holds what the stages produced before
+// failing.
+func (p *Pipeline) ProcessTrip(ctx context.Context, trip trace.ColTrip) (CarResult, error) {
 	sc := p.getScratch()
 	defer p.putScratch(sc)
 	cr := CarResult{Car: trip.CarID, RawTrips: 1}
-	err := p.loadRows(trip.CarID, []*trace.Trip{trip}, sc)
+	sc.views = append(sc.views, trip)
+	err := p.checkViews(trip.CarID, sc.views)
 	if err == nil {
 		err = p.drive(ctx, trip.CarID, sc, &cr)
 	}
@@ -201,8 +200,17 @@ func (p *Pipeline) checkInput(car int, raw []*trace.Trip) error {
 	return nil
 }
 
-// loadRows is the input boundary of the row entries: the checker's
-// input rules, then one arena copy per trip. A trip the arena refuses
+// checkViews is checkInput for raw views: the validator speaks rows,
+// so they are materialised only when the checker is on.
+func (p *Pipeline) checkViews(car int, views []trace.ColTrip) error {
+	if p.checker == nil {
+		return nil
+	}
+	return p.checkInput(car, trace.MaterializeAll(views, false))
+}
+
+// loadRows is ProcessContext's input boundary: the checker's input
+// rules, then one arena copy per trip. A trip the arena refuses
 // fails the car at stage simulate; the error wraps
 // trace.ErrUnrepresentable and is permanent.
 func (p *Pipeline) loadRows(car int, raw []*trace.Trip, sc *carScratch) error {

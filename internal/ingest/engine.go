@@ -1,11 +1,12 @@
 package ingest
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,8 +92,11 @@ type Engine struct {
 	// mu guards the per-car buffers and the watermark bookkeeping;
 	// trip processing (cleaning, segmentation, matching) always runs
 	// outside it.
-	mu          sync.Mutex
-	cars        map[int]*carState
+	mu   sync.Mutex
+	cars map[int]*carState // every car ever seen
+	// active holds exactly the cars with an open trip, so a watermark
+	// step costs the active fleet, not the stream's history.
+	active      []*carState
 	globalMaxMs int64
 	seenPoints  bool
 	sinceAdv    int
@@ -101,7 +105,6 @@ type Engine struct {
 	received    uint64
 	admitted    uint64
 	closedTrips uint64
-	buffered    int
 
 	lin    linHandles
 	ledger *core.Ledger // clean → mapmatch rows, one commit per flushed trip
@@ -114,17 +117,40 @@ type Engine struct {
 
 // carState is one device's online state machine.
 type carState struct {
-	maxMs  int64
-	open   map[int64]*tripBuf
+	car   int
+	maxMs int64
+	open  []*tripBuf // sorted by (minMs, id) at each watermark step
+	// closed holds every flushed trip id. Trip ids need not follow
+	// event time (a new trip may carry a lower id than a closed one),
+	// so no per-car id frontier can stand in for the set.
 	closed map[int64]struct{}
 }
 
-// tripBuf buffers one open trip in arrival order.
+// trip returns the car's open trip with the given id, or nil.
+func (cs *carState) trip(id int64) *tripBuf {
+	for _, tb := range cs.open {
+		if tb.id == id {
+			return tb
+		}
+	}
+	return nil
+}
+
+// tripBuf buffers one open trip in arrival order, in the columns the
+// stage driver reads at flush.
 type tripBuf struct {
 	id           int64
 	minMs, maxMs int64
-	pts          []trace.RoutePoint
+	cols         trace.Columns
 	recvNs       []int64 // wall receive time per point, for visible latency
+}
+
+// byStart orders a car's open trips by first event time, then id.
+func byStart(a, b *tripBuf) int {
+	if c := cmp.Compare(a.minMs, b.minMs); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // linHandles are the ledger rows of ingest's own admission stage; the
@@ -242,20 +268,22 @@ func (e *Engine) PushBatch(pts []Point) PushResult {
 // the first two filters of clean.Repair, applied per point at the
 // door; removing them here leaves the trip-close Repair (ordering,
 // duplicates, spikes) with identical results, so streaming admission
-// stays value-equivalent to batch cleaning.
+// stays value-equivalent to batch cleaning. A point outside the wire
+// bounds (checkBounds) has no representation in the trip buffer and
+// is dropped as non_finite too, however it was pushed.
 func (e *Engine) admitLocked(p *Point, recvNs int64) (obs.DropReason, bool) {
 	e.received++
-	rp := p.RoutePoint(e.proj)
-	if !finite(rp.Pos.X) || !finite(rp.Pos.Y) || !finite(rp.SpeedKmh) ||
-		!finite(rp.FuelMl) || !finite(rp.DistM) || rp.Time.IsZero() {
+	pos := e.proj.ToXY(geo.Point{Lon: p.Lon, Lat: p.Lat})
+	if checkBounds(*p) != nil || p.TimeMs == 0 || !finite(pos.X) || !finite(pos.Y) ||
+		!finite(p.SpeedKmh) || !finite(p.FuelMl) || !finite(p.DistM) {
 		return e.dropLocked(p.Car, obs.DropNonFinite, e.lin.inNonFinite), false
 	}
-	if e.area.Area() > 0 && !e.area.Contains(rp.Pos) {
+	if e.area.Area() > 0 && !e.area.Contains(pos) {
 		return e.dropLocked(p.Car, obs.DropOutOfArea, e.lin.inOutOfArea), false
 	}
 	cs := e.cars[p.Car]
 	if cs == nil {
-		cs = &carState{open: map[int64]*tripBuf{}, closed: map[int64]struct{}{}}
+		cs = &carState{car: p.Car, closed: map[int64]struct{}{}}
 		e.cars[p.Car] = cs
 	}
 	if wm := e.wm.Load(); wm != unsetWatermark && p.TimeMs < wm {
@@ -266,13 +294,16 @@ func (e *Engine) admitLocked(p *Point, recvNs int64) (obs.DropReason, bool) {
 		reason, dc := e.staleReason(cs, p)
 		return e.dropLocked(p.Car, reason, dc), false
 	}
-	tb := cs.open[p.Trip]
+	tb := cs.trip(p.Trip)
 	if tb == nil {
+		if len(cs.open) == 0 {
+			e.active = append(e.active, cs)
+		}
 		tb = &tripBuf{id: p.Trip, minMs: p.TimeMs, maxMs: p.TimeMs}
-		cs.open[p.Trip] = tb
+		cs.open = append(cs.open, tb)
 		e.met.openTrips.Add(1)
 	}
-	tb.pts = append(tb.pts, rp)
+	tb.cols.Append(int32(p.Seq), p.TimeMs*int64(time.Millisecond), pos, p.SpeedKmh, p.FuelMl, p.DistM)
 	tb.recvNs = append(tb.recvNs, recvNs)
 	if p.TimeMs < tb.minMs {
 		tb.minMs = p.TimeMs
@@ -288,7 +319,6 @@ func (e *Engine) admitLocked(p *Point, recvNs int64) (obs.DropReason, bool) {
 	}
 	e.seenPoints = true
 	e.admitted++
-	e.buffered++
 	e.met.bufPoints.Add(1)
 	e.lin.ingest.Add(1, 1)
 	return "", true
@@ -341,9 +371,10 @@ func (e *Engine) Advance() {
 	}
 }
 
-// advanceLocked recomputes the watermark from the per-car maxima,
-// extracts every newly closeable trip and marks it closed; the caller
-// holds e.mu and processes the returned trips outside it.
+// advanceLocked recomputes the watermark from the active cars' maxima,
+// extracts every newly closeable trip, marks it closed and drops cars
+// left without an open trip from the active set; the caller holds e.mu
+// and processes the returned trips outside it.
 func (e *Engine) advanceLocked() []closedTrip {
 	if !e.seenPoints {
 		return nil
@@ -355,11 +386,10 @@ func (e *Engine) advanceLocked() []closedTrip {
 	if e.closing {
 		wm = math.MaxInt64
 	} else {
+		// A car with nothing pending is not active, so it cannot pin
+		// the watermark.
 		minActive := int64(math.MaxInt64)
-		for _, cs := range e.cars {
-			if len(cs.open) == 0 {
-				continue // nothing pending: the car must not pin the watermark
-			}
+		for _, cs := range e.active {
 			if e.globalMaxMs-cs.maxMs > idleMs {
 				continue // silent car: excluded so the watermark still advances
 			}
@@ -382,22 +412,12 @@ func (e *Engine) advanceLocked() []closedTrip {
 	}
 
 	var out []closedTrip
-	for car, cs := range e.cars {
-		if len(cs.open) == 0 {
-			continue
-		}
+	active := e.active[:0]
+	for _, cs := range e.active {
 		idle := e.closing || e.globalMaxMs-cs.maxMs > idleMs
-		trips := make([]*tripBuf, 0, len(cs.open))
-		for _, tb := range cs.open {
-			trips = append(trips, tb)
-		}
-		sort.Slice(trips, func(i, j int) bool {
-			if trips[i].minMs != trips[j].minMs {
-				return trips[i].minMs < trips[j].minMs
-			}
-			return trips[i].id < trips[j].id
-		})
-		for i, tb := range trips {
+		slices.SortFunc(cs.open, byStart)
+		open := cs.open[:0] // the trips kept, compacted in place behind the scan
+		for i, tb := range cs.open {
 			// A trip may close once no in-flight point can still belong
 			// to it: when a newer trip of the same car has been seen, all
 			// of this trip precedes that trip's first point, so the
@@ -406,27 +426,34 @@ func (e *Engine) advanceLocked() []closedTrip {
 			// taken only for idle (or closing) cars, which is the
 			// documented lateness policy rather than an equivalence-safe
 			// bound.
-			var bound int64
-			if i+1 < len(trips) {
-				bound = max64(tb.maxMs, trips[i+1].minMs)
-			} else if idle {
-				bound = tb.maxMs
-			} else {
+			bound := tb.maxMs
+			if i+1 < len(cs.open) {
+				bound = max(tb.maxMs, cs.open[i+1].minMs)
+			} else if !idle {
+				open = append(open, tb)
 				continue
 			}
 			if wm > bound {
-				delete(cs.open, tb.id)
 				cs.closed[tb.id] = struct{}{}
-				out = append(out, closedTrip{car: car, tb: tb})
+				out = append(out, closedTrip{car: cs.car, tb: tb})
+			} else {
+				open = append(open, tb)
 			}
 		}
-	}
-	// Deterministic flush order (map iteration above is not).
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].car != out[j].car {
-			return out[i].car < out[j].car
+		clear(cs.open[len(open):])
+		cs.open = open
+		if len(open) > 0 {
+			active = append(active, cs)
 		}
-		return out[i].tb.minMs < out[j].tb.minMs
+	}
+	clear(e.active[len(active):])
+	e.active = active
+	// Deterministic flush order (the active set is in arrival order).
+	slices.SortFunc(out, func(a, b closedTrip) int {
+		if c := cmp.Compare(a.car, b.car); c != 0 {
+			return c
+		}
+		return byStart(a.tb, b.tb)
 	})
 	return out
 }
@@ -442,7 +469,8 @@ func (e *Engine) flush(closed []closedTrip) {
 	ctx := context.Background()
 	absorbed := false
 	for _, ct := range closed {
-		cr, err := e.cfg.Pipeline.ProcessTrip(ctx, &trace.Trip{ID: ct.tb.id, CarID: ct.car, Points: ct.tb.pts})
+		n := ct.tb.cols.Len()
+		cr, err := e.cfg.Pipeline.ProcessTrip(ctx, trace.ColTrip{ID: ct.tb.id, CarID: ct.car, Cols: &ct.tb.cols, N: n})
 		if err != nil && e.cfg.Log != nil {
 			e.cfg.Log.Error("ingest: trip analysis failed",
 				slog.Int("car", ct.car), slog.Int64("trip", ct.tb.id), slog.String("error", err.Error()))
@@ -462,11 +490,10 @@ func (e *Engine) flush(closed []closedTrip) {
 
 		e.mu.Lock()
 		e.closedTrips++
-		e.buffered -= len(ct.tb.pts)
 		e.mu.Unlock()
 		e.met.tripsClosed.Inc()
 		e.met.openTrips.Add(-1)
-		e.met.bufPoints.Add(-int64(len(ct.tb.pts)))
+		e.met.bufPoints.Add(-int64(n))
 	}
 	if absorbed && e.cfg.Sink != nil {
 		e.cfg.Sink.Publish()
@@ -493,7 +520,7 @@ func (e *Engine) Close() {
 	for car := range e.cars {
 		carIDs = append(carIDs, car)
 	}
-	sort.Ints(carIDs)
+	slices.Sort(carIDs)
 	e.mu.Unlock()
 
 	if len(closed) > 0 {
@@ -527,7 +554,7 @@ type Stats struct {
 	Dropped        map[obs.DropReason]uint64
 	ClosedTrips    uint64
 	OpenTrips      int
-	BufferedPoints int
+	BufferedPoints int // admitted points of the open trips
 	WatermarkMs    int64
 }
 
@@ -536,27 +563,22 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := Stats{
-		Received:       e.received,
-		Admitted:       e.admitted,
-		ClosedTrips:    e.closedTrips,
-		BufferedPoints: e.buffered,
-		WatermarkMs:    e.wm.Load(),
-		Dropped:        make(map[obs.DropReason]uint64, len(e.drops)),
+		Received:    e.received,
+		Admitted:    e.admitted,
+		ClosedTrips: e.closedTrips,
+		WatermarkMs: e.wm.Load(),
+		Dropped:     make(map[obs.DropReason]uint64, len(e.drops)),
 	}
 	for r, n := range e.drops {
 		s.Dropped[r] = n
 	}
-	for _, cs := range e.cars {
+	for _, cs := range e.active {
 		s.OpenTrips += len(cs.open)
+		for _, tb := range cs.open {
+			s.BufferedPoints += tb.cols.Len()
+		}
 	}
 	return s
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

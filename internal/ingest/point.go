@@ -23,6 +23,14 @@
 // shuffled within windows whose event-time span stays below the
 // allowed lateness — therefore yields sink snapshots value-identical
 // to the batch pipeline (see the differential tests).
+//
+// State model: each open trip buffers its admitted points, projected,
+// in the trace.Columns the stage driver reads, so a closing trip goes
+// to core.Pipeline.ProcessTrip as a view of its own buffer, with no
+// row copy in between. The engine keeps the set of cars with an open
+// trip; the watermark step, the close scan and Stats walk that set,
+// so their cost follows the active fleet rather than every car the
+// stream has seen. Each car remembers the ids of its closed trips.
 package ingest
 
 import (

@@ -188,3 +188,28 @@ func BenchmarkStartEndTime(b *testing.B) {
 	tr.MarkTimeSorted()
 	b.Run("marked", run)
 }
+
+// TestColumnsAppendMatchesAppendTrip builds a trip row by row with
+// Columns.Append and requires the view to read back exactly the points
+// Arena.AppendTrip stores for the same trip.
+func TestColumnsAppendMatchesAppendTrip(t *testing.T) {
+	orig := mkTrip(7, 0, 0, 100, 0, 100, 50)
+	orig.CarID = 3
+	want, err := NewArena(0).AppendTrip(orig)
+	if err != nil {
+		t.Fatalf("AppendTrip: %v", err)
+	}
+	var cols Columns
+	for _, p := range orig.Points {
+		cols.Append(int32(p.PointID), p.Time.UnixNano(), p.Pos, p.SpeedKmh, p.FuelMl, p.DistM)
+	}
+	got := ColTrip{ID: orig.ID, CarID: orig.CarID, Cols: &cols, N: cols.Len()}
+	if got.Len() != want.Len() {
+		t.Fatalf("len = %d, want %d", got.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if got.Point(i) != want.Point(i) || got.TimeNs(i) != want.TimeNs(i) {
+			t.Fatalf("point %d: %+v, want %+v", i, got.Point(i), want.Point(i))
+		}
+	}
+}

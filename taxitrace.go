@@ -48,8 +48,9 @@
 // context-first throughout: RunContext, RunCarContext and
 // ProcessContext (the historical ctx-free Run/RunCar/Process wrappers
 // have been removed), plus Pipeline.ProcessTrip, the per-trip entry
-// the event-time ingest layer (internal/ingest) drives through the
-// same stages as each trip closes.
+// the event-time ingest layer (internal/ingest) calls as each trip
+// closes, with a trace.ColTrip view of the columns it buffered the
+// trip in, to drive it through the same stages.
 //
 // The experiments subpackage (internal/experiments) regenerates every
 // table and figure of the paper; cmd/experiments writes them to disk.
