@@ -15,7 +15,8 @@ help:
 	@echo "  race     go vet + go test -race ./... (concurrency gate for the"
 	@echo "           shared Router: pooled scratch, sharded path cache and"
 	@echo "           parallel per-car workers all run under the race detector)"
-	@echo "  ci       the full gate CI runs: build + vet + test + race"
+	@echo "  ci       the full gate CI runs: build + vet + test + race,"
+	@echo "           then the cross-mode gates at -cpu 1,2,4"
 	@echo "  fuzz     run every native fuzz target for FUZZTIME (default 30s)"
 	@echo "           each; seed corpora live in testdata/fuzz/"
 	@echo "  bench    run every benchmark with -benchmem"
@@ -24,7 +25,7 @@ help:
 	@echo "           run's output checks fail"
 	@echo "  bench-runner  snapshot fleet-runner perf (batch vs stream at"
 	@echo "           1/4/GOMAXPROCS workers) into results/BENCH_runner.json"
-	@echo "  bench-serve   snapshot serving-layer perf (sink ingest/merge"
+	@echo "  bench-serve   snapshot serving-layer perf (sink ingest/publish"
 	@echo "           throughput, query latency incl. p50/p99 under"
 	@echo "           concurrent load) into results/BENCH_serve.json"
 	@echo "  bench-fleet   snapshot fleet-scale perf (1k/10k cars x format"
@@ -69,11 +70,15 @@ race:
 	$(GO) test -race ./...
 
 # The full gate: what .github/workflows/ci.yml runs on every push/PR.
+# The last line reruns the cross-mode gates (cluster = single node,
+# streamed = batch) at several core counts: an answer that depends on
+# GOMAXPROCS fails there.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
+	$(GO) test -cpu 1,2,4 -run 'MatchesSingleNode|MatchesBatch' ./internal/cluster ./internal/ingest ./internal/sink
 
 # Fuzz smoke: run every native fuzz target for FUZZTIME each. Go allows
 # one -fuzz pattern per package invocation, so iterate explicitly. The
@@ -153,11 +158,11 @@ runner_notes := 8-car fleet x 30 trips/car, seed 42, warm router cache
 bench-runner:
 	$(call bench_snapshot,runner,BenchmarkFleetRunner,-benchmem -count=5,.,$(runner_notes))
 
-# Serving-layer perf trajectory: sink ingest-merge throughput (single
-# and contended writers, publish/merge cost) and query latency per
-# endpoint plus p50/p99 under concurrent read+ingest load, medians over
-# 5 repetitions, snapshotted into results/BENCH_serve.json.
-serve_notes := 512-car snapshot, 8-point transitions, 4 ingest shards
+# Serving-layer perf trajectory: sink ingest throughput (single and
+# contended writers, publish cost) and query latency per endpoint plus
+# p50/p99 under concurrent read+ingest load, medians over 5
+# repetitions, snapshotted into results/BENCH_serve.json.
+serve_notes := 512-car snapshot, 8-point transitions, one ingest lane
 bench-serve:
 	$(call bench_snapshot,serve,BenchmarkSink|BenchmarkServe,-benchmem -count=5,./internal/sink/ ./internal/serve/,$(serve_notes))
 

@@ -56,10 +56,6 @@ type Config struct {
 	Match      mapmatch.Config
 	GateWidthM float64 // thick-geometry width (default 150)
 	GridCellM  float64 // analysis cell size (default 200)
-	// RouterCachePaths caps the shared routing engine's path cache
-	// (total memoised paths across shards). 0 selects the router
-	// default; negative disables caching.
-	RouterCachePaths int
 	// Workers bounds the fleet runner's concurrency (default
 	// GOMAXPROCS). The runner owns exactly this many worker
 	// goroutines regardless of fleet size.
@@ -182,7 +178,7 @@ func NewPipelineWithCity(city *digiroad.City, cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: build road graph: %w", err)
 	}
-	router := roadnet.NewRouter(graph, roadnet.RouterOptions{PathCachePaths: cfg.RouterCachePaths})
+	router := roadnet.NewRouter(graph, roadnet.RouterOptions{})
 	gen, err := tracegen.NewWithRouter(city, router, cfg.Fleet)
 	if err != nil {
 		return nil, fmt.Errorf("core: build fleet generator: %w", err)

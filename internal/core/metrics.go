@@ -139,8 +139,8 @@ func (m *pipelineMetrics) recordFunnel(f odselect.Funnel) {
 
 // registerRouterGauges re-exports the router path-cache counters (which
 // the roadnet package keeps itself) as snapshot-time gauges: hit/miss/
-// eviction totals, hit rate, total occupancy, and per-shard occupancy
-// so cache-capacity tuning (Config.RouterCachePaths) is observable.
+// eviction totals, hit rate, total occupancy, and per-shard occupancy,
+// so a full or skewed cache shows in the metrics.
 func registerRouterGauges(reg *obs.Registry, router *roadnet.Router) {
 	if reg == nil || router == nil {
 		return

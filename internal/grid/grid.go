@@ -169,30 +169,6 @@ func (a *Aggregator) Add(p geo.XY, speedKmh float64) bool {
 	return true
 }
 
-// Merge folds another aggregation over the same grid frame into a:
-// per-cell speed moments combine via Welford merge and feature counts
-// are taken from whichever side has them attached. This is what makes
-// the aggregation shardable — per-worker (or per-epoch) aggregators
-// merge into the same totals a single sequential pass produces, up to
-// float rounding in the moments.
-func (a *Aggregator) Merge(src *Aggregator) {
-	if src == nil {
-		return
-	}
-	for id, sc := range src.cells {
-		c := a.cells[id]
-		if c == nil {
-			cp := *sc
-			a.cells[id] = &cp
-			continue
-		}
-		c.Speed.Merge(sc.Speed)
-		if c.Features == (CellFeatures{}) {
-			c.Features = sc.Features
-		}
-	}
-}
-
 // Cell returns the aggregated cell, or nil when it has no data.
 func (a *Aggregator) Cell(id CellID) *Cell { return a.cells[id] }
 

@@ -280,50 +280,6 @@ func TestParseCellIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAggregatorMerge(t *testing.T) {
-	g := testGrid(t)
-	speeds := []struct {
-		p geo.XY
-		v float64
-	}{
-		{geo.V(50, 50), 10}, {geo.V(60, 60), 20}, {geo.V(70, 70), 30},
-		{geo.V(500, 500), 25}, {geo.V(510, 510), 35}, {geo.V(900, 100), 50},
-	}
-	// Reference: one sequential aggregation.
-	want := NewAggregator(g)
-	for _, s := range speeds {
-		want.Add(s.p, s.v)
-	}
-	// Sharded: alternate points across two aggregators, then merge.
-	a, b := NewAggregator(g), NewAggregator(g)
-	for i, s := range speeds {
-		if i%2 == 0 {
-			a.Add(s.p, s.v)
-		} else {
-			b.Add(s.p, s.v)
-		}
-	}
-	a.Merge(b)
-	if a.NumNonEmpty() != want.NumNonEmpty() {
-		t.Fatalf("merged cells = %d, want %d", a.NumNonEmpty(), want.NumNonEmpty())
-	}
-	for _, wc := range want.Cells() {
-		mc := a.Cell(wc.ID)
-		if mc == nil || mc.Speed.N() != wc.Speed.N() {
-			t.Fatalf("cell %v: merged %+v, want %+v", wc.ID, mc, wc)
-		}
-		if math.Abs(mc.Speed.Mean()-wc.Speed.Mean()) > 1e-9 {
-			t.Fatalf("cell %v: merged mean %f, want %f", wc.ID, mc.Speed.Mean(), wc.Speed.Mean())
-		}
-		if mc.Speed.N() >= 2 && math.Abs(mc.Speed.Variance()-wc.Speed.Variance()) > 1e-9 {
-			t.Fatalf("cell %v: merged var %f, want %f", wc.ID, mc.Speed.Variance(), wc.Speed.Variance())
-		}
-		if mc.Speed.Min() != wc.Speed.Min() || mc.Speed.Max() != wc.Speed.Max() {
-			t.Fatalf("cell %v: merged extrema differ", wc.ID)
-		}
-	}
-}
-
 func TestLMMGroupsWithFeatures(t *testing.T) {
 	g := testGrid(t)
 	a := NewAggregator(g)

@@ -66,7 +66,7 @@ func benchReplay(b *testing.B, pts []Point) {
 			b.Fatal(err)
 		}
 		s, err := sink.New(sink.Config{
-			Grid: g, Shards: 4, PublishEvery: 1, Gates: p.Selector.GateNames(),
+			Grid: g, PublishEvery: 1, Gates: p.Selector.GateNames(),
 		})
 		if err != nil {
 			b.Fatal(err)

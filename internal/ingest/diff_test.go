@@ -113,7 +113,7 @@ func newDiffSink(t *testing.T, p *core.Pipeline) *sink.Sink {
 		t.Fatal(err)
 	}
 	s, err := sink.New(sink.Config{
-		Grid: g, Shards: 3, PublishEvery: 1, Gates: p.Selector.GateNames(),
+		Grid: g, PublishEvery: 1, Gates: p.Selector.GateNames(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -113,6 +113,10 @@ type Engine struct {
 	// flushMu serialises flush rounds so two concurrent watermark
 	// advances cannot interleave their sink publishes.
 	flushMu sync.Mutex
+	// closeOnce makes Close idempotent: every car is completed in the
+	// sink exactly once, and a concurrent second caller returns only
+	// after the first has sealed.
+	closeOnce sync.Once
 }
 
 // carState is one device's online state machine.
@@ -510,8 +514,11 @@ func (e *Engine) flush(closed []closedTrip) {
 // Close ends the stream: the watermark jumps to +infinity, every
 // buffered trip flushes, each car is completed in the sink, and the
 // sink (when attached) seals its final snapshot. Points pushed after
-// Close are dropped as late.
-func (e *Engine) Close() {
+// Close are dropped as late. Only the first call does the work; later
+// calls return once it is done.
+func (e *Engine) Close() { e.closeOnce.Do(e.close) }
+
+func (e *Engine) close() {
 	e.flushMu.Lock()
 	e.mu.Lock()
 	e.closing = true

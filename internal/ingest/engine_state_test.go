@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -147,5 +148,44 @@ func TestEngineStateFollowsActiveFleet(t *testing.T) {
 	}
 	if st := e.Stats(); len(e.active) != 0 || st.OpenTrips != 0 || st.BufferedPoints != 0 {
 		t.Fatalf("after Close: %d active cars, stats %+v", len(e.active), st)
+	}
+}
+
+// TestCloseTwiceCompletesEachCarOnce: a repeated close (two close
+// requests, or a close followed by shutdown) must not complete any car
+// again or publish another epoch; a concurrent second caller returns
+// only once the stream is sealed.
+func TestCloseTwiceCompletesEachCarOnce(t *testing.T) {
+	p := testPipeline(t)
+	s := newDiffSink(t, p)
+	e := newTestEngine(t, Config{Sink: s, AllowedLateness: 5 * time.Second})
+	const cars = 3
+	for car := 1; car <= cars; car++ {
+		for sec := int64(1); sec <= 5; sec++ {
+			e.Push(syntheticPoint(p, car, int64(car*100), int(sec), sec))
+		}
+	}
+
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.Close()
+			if !s.Snapshot().Complete {
+				t.Error("Close returned before the sink was sealed")
+			}
+		}()
+	}
+	wg.Wait()
+	first := s.Snapshot()
+	if first.CarsIngested != cars {
+		t.Fatalf("cars ingested = %d after two concurrent closes, want %d", first.CarsIngested, cars)
+	}
+
+	e.Close()
+	if again := s.Snapshot(); again.Epoch != first.Epoch || again.CarsIngested != first.CarsIngested {
+		t.Fatalf("another Close moved the snapshot: epoch %d -> %d, cars %d -> %d",
+			first.Epoch, again.Epoch, first.CarsIngested, again.CarsIngested)
 	}
 }

@@ -138,25 +138,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return 0
 }
 
-// Merge folds every observation of src into h by adding bucket counts
-// (and count/sum/max). Because bucket counts are integers, merging
-// shard-local histograms yields exactly the histogram a single
-// accumulator would have produced over the union of observations —
-// the property the serving layer's epoch snapshots rely on.
-func (h *Histogram) Merge(src *Histogram) {
-	if h == nil || src == nil {
-		return
-	}
-	h.count.Add(src.count.Load())
-	addFloat(&h.sum, math.Float64frombits(src.sum.Load()))
-	maxFloat(&h.max, math.Float64frombits(src.max.Load()))
-	for i := range src.buckets {
-		if n := src.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-}
-
 // FrozenHistogram is an immutable point-in-time copy of a histogram:
 // sparse bucket counts plus the running count/sum/max. Safe to share
 // between any number of readers; arbitrary quantiles stay computable

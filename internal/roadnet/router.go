@@ -71,9 +71,9 @@ func (r *Router) Graph() *Graph { return r.g }
 
 // CacheStats reports the path-cache hit/miss/eviction counters and the
 // current occupancy, total and per shard. The per-shard numbers exist
-// to make Config.RouterCachePaths tuning observable: a full cache shows
-// every shard pinned at its per-shard cap, while a skewed hash would
-// show hot shards evicting with cold shards half-empty.
+// to make RouterOptions.PathCachePaths tuning observable: a full cache
+// shows every shard pinned at its per-shard cap, while a skewed hash
+// would show hot shards evicting with cold shards half-empty.
 type CacheStats struct {
 	Hits      uint64
 	Misses    uint64

@@ -23,7 +23,7 @@ func benchAPI(b *testing.B, cars int) (*sink.Sink, *API) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := sink.New(sink.Config{Grid: g, Shards: 4, PublishEvery: -1})
+	s, err := sink.New(sink.Config{Grid: g, PublishEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

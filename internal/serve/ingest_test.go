@@ -52,7 +52,7 @@ func newIngestAPI(t *testing.T) (*ingest.Engine, *API) {
 		t.Fatal(err)
 	}
 	s, err := sink.New(sink.Config{
-		Grid: g, Shards: 2, PublishEvery: 1, Gates: p.Selector.GateNames(),
+		Grid: g, PublishEvery: 1, Gates: p.Selector.GateNames(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +151,37 @@ func TestIngestNDJSON(t *testing.T) {
 	get(t, api, "/v1/snapshot", &snap)
 	if !snap.Complete || snap.CarsIngested != 1 {
 		t.Fatalf("snapshot after close = %+v, want complete with 1 car", snap)
+	}
+}
+
+// TestIngestCloseTwice: a repeated close request answers like the first
+// and neither completes a car again nor publishes another epoch.
+func TestIngestCloseTwice(t *testing.T) {
+	_, api := newIngestAPI(t)
+	var buf bytes.Buffer
+	if err := ingest.WriteNDJSON(&buf, firehosePoints(ingestPipeline(t), 20)); err != nil {
+		t.Fatal(err)
+	}
+	if rec := post(t, api, "/v1/ingest", "application/x-ndjson", &buf, nil); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d body %s", rec.Code, rec.Body.String())
+	}
+
+	type snapshot struct {
+		Epoch        uint64 `json:"epoch"`
+		CarsIngested int    `json:"cars_ingested"`
+	}
+	var snaps [2]snapshot
+	for i := range snaps {
+		var closed struct {
+			Closed bool `json:"closed"`
+		}
+		if rec := post(t, api, "/v1/ingest/close", "", nil, &closed); rec.Code != http.StatusOK || !closed.Closed {
+			t.Fatalf("close %d: status %d body %s", i+1, rec.Code, rec.Body.String())
+		}
+		get(t, api, "/v1/snapshot", &snaps[i])
+	}
+	if snaps[0].CarsIngested != 1 || snaps[1] != snaps[0] {
+		t.Fatalf("snapshot after first close %+v, after second %+v; want 1 car, unchanged", snaps[0], snaps[1])
 	}
 }
 

@@ -61,7 +61,7 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sink.New(sink.Config{Grid: g, Shards: 4, PublishEvery: 1})
+	s, err := sink.New(sink.Config{Grid: g, PublishEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

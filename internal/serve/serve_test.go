@@ -51,7 +51,7 @@ func testAPI(t *testing.T, reg *obs.Registry) (*sink.Sink, *API) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sink.New(sink.Config{Grid: g, Shards: 2, PublishEvery: 1, Metrics: reg})
+	s, err := sink.New(sink.Config{Grid: g, PublishEvery: 1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestODPairHyphenatedGates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := sink.New(sink.Config{
-		Grid: g, Shards: 1, PublishEvery: 1,
+		Grid: g, PublishEvery: 1,
 		Gates: []string{"T-north", "S", "L"},
 	})
 	if err != nil {

@@ -12,13 +12,13 @@ import (
 // benchSink builds a sink over the standard bench grid with
 // auto-publish disabled, so absorb and publish cost are measured
 // separately.
-func benchSink(b *testing.B, shards int) *Sink {
+func benchSink(b *testing.B) *Sink {
 	b.Helper()
 	g, err := grid.New(geo.R(0, 0, 2000, 2000), 200)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(Config{Grid: g, Shards: shards, PublishEvery: -1})
+	s, err := New(Config{Grid: g, PublishEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,10 +41,10 @@ func benchCars(n int) []*core.CarResult {
 	return out
 }
 
-// BenchmarkSinkAbsorb measures single-writer ingest-merge throughput:
-// one 8-point transition per car folded into the shard aggregation.
+// BenchmarkSinkAbsorb measures single-writer ingest throughput: one
+// 8-point transition per car folded into the sink's aggregation.
 func BenchmarkSinkAbsorb(b *testing.B) {
-	s := benchSink(b, 4)
+	s := benchSink(b)
 	pool := benchCars(256)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -54,9 +54,9 @@ func BenchmarkSinkAbsorb(b *testing.B) {
 }
 
 // BenchmarkSinkAbsorbParallel measures contended ingest: GOMAXPROCS
-// writers absorbing into a GOMAXPROCS-sharded sink.
+// writers absorbing through the sink's one mutex.
 func BenchmarkSinkAbsorbParallel(b *testing.B) {
-	s := benchSink(b, 0)
+	s := benchSink(b)
 	pool := benchCars(256)
 	var next atomic.Uint64
 	b.ReportAllocs()
@@ -69,10 +69,10 @@ func BenchmarkSinkAbsorbParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkSinkPublish measures the shard-merge + snapshot-build cost
-// of one publish over a sink holding 512 absorbed cars.
+// BenchmarkSinkPublish measures the freeze + snapshot-build cost of one
+// publish over a sink holding 512 absorbed cars.
 func BenchmarkSinkPublish(b *testing.B) {
-	s := benchSink(b, 4)
+	s := benchSink(b)
 	for _, cr := range benchCars(512) {
 		s.Absorb(cr)
 	}

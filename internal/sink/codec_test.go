@@ -18,15 +18,15 @@ import (
 
 // codecFixture builds a realistic sealed snapshot through the real
 // sink: several cars, two directions, failures, a full grid frame and
-// gate registration. seed offsets the car ids so distinct fixtures
-// cover different shards.
+// gate registration. seed offsets the car ids and speeds so distinct
+// fixtures hold different values.
 func codecFixture(t *testing.T, seed int) *Snapshot {
 	t.Helper()
 	g, err := grid.New(geo.R(0, 0, 2000, 2000), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Grid: g, Shards: 4, PublishEvery: 1, Gates: []string{"T", "S"}})
+	s, err := New(Config{Grid: g, PublishEvery: 1, Gates: []string{"T", "S"}})
 	if err != nil {
 		t.Fatal(err)
 	}

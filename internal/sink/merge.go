@@ -35,11 +35,11 @@ func sameGates(a, b []string) bool {
 	return true
 }
 
-// mergeCellStats folds two published cell aggregates with the same
-// Welford parallel-merge algebra the sink's shards use in-process:
-// the cell stats carry the full sufficient statistics (m2 = var·(n−1)),
-// so the merged moments equal a single accumulator's over the union of
-// observations up to float rounding.
+// mergeCellStats folds two published cell aggregates with the Welford
+// parallel-merge algebra (stats.Welford.Merge): the cell stats carry
+// the full sufficient statistics (m2 = var·(n−1)), so the merged
+// moments equal a single accumulator's over the union of observations
+// up to float rounding.
 func mergeCellStats(a, b CellStats) CellStats {
 	w := welfordOfCell(a)
 	w.Merge(welfordOfCell(b))
@@ -136,18 +136,20 @@ func mergeODStats(a, b ODStats) (ODStats, error) {
 	}, nil
 }
 
-// MergeSnapshots combines per-shard snapshots into one fleet snapshot —
-// the coordinator's core operation. The merge is commutative and
-// associative up to float rounding (integer fields and histogram
-// buckets exactly), and the empty snapshot is its identity, so the
-// coordinator may fold shards in any arrival order.
+// MergeSnapshots combines cluster workers' partial snapshots into one
+// fleet snapshot — the coordinator's core operation, and the only
+// merge of aggregates: a single sink folds sequentially and publishes
+// by freezing. The merge is commutative and associative up to float
+// rounding (integer fields and histogram buckets exactly), and the
+// empty snapshot is its identity, so the coordinator may fold partials
+// in any arrival order.
 //
 // Validation: every pair of non-nil grids must describe the same frame
 // and every pair of non-empty gate registrations must be identical
 // (ErrFrameMismatch); histograms must share a bucket layout
 // (obs.ErrLayoutMismatch, via the OD merge). The result carries:
 // Epoch = max, Complete = AND over inputs (the fleet is sealed only
-// when every shard is), PublishedAt = latest, counters summed.
+// when every partial is), PublishedAt = latest, counters summed.
 //
 // Nil snapshots are skipped; zero inputs yield the empty snapshot.
 func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {

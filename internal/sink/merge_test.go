@@ -21,7 +21,7 @@ func shardSnapshot(t *testing.T, cars []core.CarResult) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Grid: g, Shards: 2, PublishEvery: 1, Gates: []string{"T", "S"}})
+	s, err := New(Config{Grid: g, PublishEvery: 1, Gates: []string{"T", "S"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func matchedCar(car int, edge roadnet.EdgeID, hour int, paceSPerKm float64, poin
 }
 
 func TestSinkLearnsEdgeProfiles(t *testing.T) {
-	s := testSink(t, 4, 1)
+	s := testSink(t, 1)
 	s.AbsorbEvent(core.CarEvent{Car: 1, Result: matchedCar(1, 7, 8, 120, 4)})
 	s.AbsorbEvent(core.CarEvent{Car: 2, Result: matchedCar(2, 7, 8, 180, 4)})
 	s.AbsorbEvent(core.CarEvent{Car: 3, Result: matchedCar(3, 9, 17, 90, 4)})
@@ -76,7 +76,7 @@ func profileFixture(epoch uint64) *Snapshot {
 func TestSnapshotCodecProfileRoundTrip(t *testing.T) {
 	// Both a profiles-only snapshot and a full sealed fleet snapshot
 	// that actually learned profiles must survive the wire byte-exactly.
-	s := testSink(t, 4, 1)
+	s := testSink(t, 1)
 	s.AbsorbEvent(core.CarEvent{Car: 1, Result: matchedCar(1, 7, 8, 120, 4)})
 	s.AbsorbEvent(core.CarEvent{Car: 2, Result: matchedCar(2, 9, 9, 150, 4)})
 	sealed := s.Seal()

@@ -9,14 +9,15 @@
 //
 // Concurrency model:
 //
-//   - Ingest is sharded: each car lands entirely in one shard (car
-//     number modulo shard count), guarded by that shard's mutex, so
-//     per-car absorption from parallel runner workers contends only
-//     within a shard and every shard always holds a whole number of
-//     cars.
-//   - Publish merges the shards (grid aggregators via Welford merge,
-//     travel-time histograms via exact bucket-count merge) into a fresh
-//     *Snapshot and swaps it in with one atomic pointer store.
+//   - Ingest is one lane: a single mutex guards one grid aggregator,
+//     one OD map and one profile map. Each absorb call (a whole car, or
+//     one closed trip's transitions) folds under it, so a publish never
+//     observes a half-folded call, and the aggregation is one
+//     sequential fold in absorb order whatever the core count.
+//   - Publish freezes that accumulator straight into a fresh *Snapshot
+//     under the same mutex and swaps it in with one atomic pointer
+//     store. There is no in-process merge; sink.MergeSnapshots is the
+//     one merge, used by the cluster coordinator.
 //   - Readers call Snapshot() — a single atomic load. A reader holds one
 //     immutable epoch forever; there is nothing to tear and nothing to
 //     lock.
@@ -31,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,10 +49,6 @@ type Config struct {
 	// use the pipeline's study area and cell size to make the final
 	// snapshot comparable to the batch aggregation).
 	Grid *grid.Grid
-	// Shards is the ingest shard count (default GOMAXPROCS). More
-	// shards mean less lock contention between runner workers and
-	// proportionally more merge work per publish.
-	Shards int
 	// PublishEvery is the auto-publish cadence in absorbed cars: after
 	// every PublishEvery-th car a new epoch is published (default 1 —
 	// every completed car becomes queryable immediately). Zero or
@@ -85,9 +81,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Grid == nil {
 		return c, fmt.Errorf("sink: Config.Grid is required")
 	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
 	if c.PublishEvery == 0 {
 		c.PublishEvery = 1
 	}
@@ -101,45 +94,40 @@ func (c Config) withDefaults() (Config, error) {
 // snapshots. Construct with New; all methods are safe for concurrent
 // use.
 type Sink struct {
-	cfg    Config
-	shards []*shard
-	// cur is the atomic snapshot pointer readers load; publishes are
-	// serialised by pubMu and swap cur exactly once each.
-	cur      atomic.Pointer[Snapshot]
-	pubMu    sync.Mutex
-	absorbed atomic.Uint64 // successful cars folded in, drives auto-publish
-	sealed   atomic.Bool
+	cfg Config
+	// cur is the atomic snapshot pointer readers load; each publish
+	// swaps it exactly once, under mu.
+	cur atomic.Pointer[Snapshot]
+
+	// mu guards the accumulator below and serialises publishes. Each
+	// absorb call folds entirely under it, so a publish never observes
+	// a half-folded car or trip.
+	mu     sync.Mutex
+	cars   int // successful cars folded in; drives auto-publish
+	failed int
+	points int
+	agg    *grid.Aggregator
+	od     map[ODKey]*odAcc
+	// profiles accumulates per-edge pace observations (seconds per km
+	// by edge and hour bucket) from the matched routes.
+	profiles map[EdgeProfileKey]*stats.Welford
 
 	// checker validates snapshot transitions when Config.Check is on
 	// (nil otherwise); checkErr latches the first strict violation.
-	// Both are guarded by pubMu (the checker runs only inside publish).
+	// Both are guarded by mu (the checker runs only inside publish).
 	checker  *check.Validator
 	checkErr error
 
 	met sinkMetrics
 }
 
-// shard is one ingest lane. A car is absorbed entirely under its
-// shard's lock, so any publish observes whole cars only.
-type shard struct {
-	mu     sync.Mutex
-	cars   int
-	failed int
-	points int
-	agg    *grid.Aggregator
-	od     map[ODKey]*odAcc
-	// profiles accumulates per-edge pace observations (seconds per km
-	// by edge and hour bucket) from the shard's matched routes.
-	profiles map[EdgeProfileKey]*stats.Welford
-}
-
 // odAcc accumulates one direction's transition statistics.
 type odAcc struct {
-	from, to string
-	trips    int
+	trips int
 	// travel is the travel-time distribution in seconds, on the obs
-	// log-linear bucket layout (merges exactly across shards).
-	travel *obs.Histogram
+	// log-linear bucket layout (its frozen copies merge exactly across
+	// cluster partials).
+	travel obs.Histogram
 	// Per-transition metric moments (Table 4 rows).
 	distKm, fuelMl, lowPct, normalPct stats.Welford
 	// Route attribute totals along the matched routes.
@@ -167,16 +155,11 @@ func New(cfg Config) (*Sink, error) {
 		return nil, err
 	}
 	s := &Sink{
-		cfg:     cfg,
-		shards:  make([]*shard, cfg.Shards),
-		checker: check.New(cfg.Check, cfg.Gates, nil, cfg.Metrics),
-	}
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			agg:      grid.NewAggregator(cfg.Grid),
-			od:       map[ODKey]*odAcc{},
-			profiles: map[EdgeProfileKey]*stats.Welford{},
-		}
+		cfg:      cfg,
+		agg:      grid.NewAggregator(cfg.Grid),
+		od:       map[ODKey]*odAcc{},
+		profiles: map[EdgeProfileKey]*stats.Welford{},
+		checker:  check.New(cfg.Check, cfg.Gates, nil, cfg.Metrics),
 	}
 	reg := cfg.Metrics
 	s.met = sinkMetrics{
@@ -206,8 +189,8 @@ func New(cfg Config) (*Sink, error) {
 // violated the epoch/count monotonicity contract, every later epoch is
 // suspect.
 func (s *Sink) CheckErr() error {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.checkErr
 }
 
@@ -222,10 +205,9 @@ func (s *Sink) Snapshot() *Snapshot { return s.cur.Load() }
 // auto-publish cadence may publish a new epoch.
 func (s *Sink) AbsorbEvent(ev core.CarEvent) {
 	if ev.Err != nil {
-		sh := s.shardFor(ev.Car)
-		sh.mu.Lock()
-		sh.failed++
-		sh.mu.Unlock()
+		s.mu.Lock()
+		s.failed++
+		s.mu.Unlock()
 		s.met.carsFailed.Inc()
 		return
 	}
@@ -236,13 +218,13 @@ func (s *Sink) AbsorbEvent(ev core.CarEvent) {
 // auto-publish cadence.
 func (s *Sink) Absorb(cr *core.CarResult) {
 	start := time.Now()
-	sh := s.shardFor(cr.Car)
-	sh.mu.Lock()
-	sh.absorb(cr)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.absorbTransitions(cr.Transitions)
+	due := s.carDoneLocked()
+	s.mu.Unlock()
 	s.met.absorbTime.Observe(time.Since(start).Seconds())
 	s.met.carsAbsorbed.Inc()
-	if n := s.absorbed.Add(1); s.cfg.PublishEvery > 0 && n%uint64(s.cfg.PublishEvery) == 0 {
+	if due {
 		s.Publish()
 	}
 }
@@ -272,10 +254,9 @@ func (s *Sink) AbsorbTransitions(car int, recs []*core.TransitionRecord) {
 		return
 	}
 	start := time.Now()
-	sh := s.shardFor(car)
-	sh.mu.Lock()
-	sh.absorbTransitions(recs)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.absorbTransitions(recs)
+	s.mu.Unlock()
 	s.met.absorbTime.Observe(time.Since(start).Seconds())
 }
 
@@ -283,43 +264,36 @@ func (s *Sink) AbsorbTransitions(car int, recs []*core.TransitionRecord) {
 // it toward CarsIngested and applying the auto-publish cadence. Call
 // exactly once per car, after its last AbsorbTransitions.
 func (s *Sink) CarComplete(car int) {
-	sh := s.shardFor(car)
-	sh.mu.Lock()
-	sh.cars++
-	sh.mu.Unlock()
+	s.mu.Lock()
+	due := s.carDoneLocked()
+	s.mu.Unlock()
 	s.met.carsAbsorbed.Inc()
-	if n := s.absorbed.Add(1); s.cfg.PublishEvery > 0 && n%uint64(s.cfg.PublishEvery) == 0 {
+	if due {
 		s.Publish()
 	}
 }
 
-func (s *Sink) shardFor(car int) *shard {
-	if car < 0 {
-		car = -car
-	}
-	return s.shards[car%len(s.shards)]
+// carDoneLocked counts one more ingested car and reports whether the
+// auto-publish cadence is due; the caller holds mu.
+func (s *Sink) carDoneLocked() bool {
+	s.cars++
+	return s.cfg.PublishEvery > 0 && s.cars%s.cfg.PublishEvery == 0
 }
 
-// absorb folds one car in; the caller holds the shard lock.
-func (sh *shard) absorb(cr *core.CarResult) {
-	sh.cars++
-	sh.absorbTransitions(cr.Transitions)
-}
-
-// absorbTransitions folds transition records into the shard's grid and
-// OD accumulators; the caller holds the shard lock.
-func (sh *shard) absorbTransitions(recs []*core.TransitionRecord) {
+// absorbTransitions folds transition records into the grid, OD and
+// profile accumulators; the caller holds mu.
+func (s *Sink) absorbTransitions(recs []*core.TransitionRecord) {
 	for _, rec := range recs {
 		for _, sp := range core.TransitionSpeedPoints(rec) {
-			if sh.agg.Add(sp.Pos, sp.SpeedKmh) {
-				sh.points++
+			if s.agg.Add(sp.Pos, sp.SpeedKmh) {
+				s.points++
 			}
 		}
 		key := ODKey{From: rec.Transition.From, To: rec.Transition.To}
-		od := sh.od[key]
+		od := s.od[key]
 		if od == nil {
-			od = &odAcc{from: key.From, to: key.To, travel: &obs.Histogram{}}
-			sh.od[key] = od
+			od = &odAcc{}
+			s.od[key] = od
 		}
 		od.trips++
 		od.travel.Observe(rec.RouteTimeH * 3600)
@@ -333,116 +307,75 @@ func (sh *shard) absorbTransitions(recs []*core.TransitionRecord) {
 		od.junctions += rec.Attrs.Junctions
 		for _, ep := range core.TransitionEdgePaces(rec) {
 			key := EdgeProfileKey{Edge: ep.Edge, Hour: ep.Hour}
-			w := sh.profiles[key]
+			w := s.profiles[key]
 			if w == nil {
 				w = &stats.Welford{}
-				sh.profiles[key] = w
+				s.profiles[key] = w
 			}
 			w.Add(ep.SecPerKm)
 		}
 	}
 }
 
-// Publish merges the shards into a fresh immutable snapshot, bumps the
-// epoch and swaps it in. Publishes are serialised; readers are never
-// blocked (they keep whatever epoch they already loaded). Returns the
-// published snapshot.
+// Publish freezes the aggregation into a fresh immutable snapshot,
+// bumps the epoch and swaps it in. Publishes are serialised; readers
+// are never blocked (they keep whatever epoch they already loaded).
+// Returns the published snapshot.
 func (s *Sink) Publish() *Snapshot { return s.publish(false) }
 
 // Seal publishes the final snapshot with Complete set — the run is
 // over, the aggregation will not change again. Further absorbs are
 // still folded in defensively but a sealed sink is meant to be
 // read-only.
-func (s *Sink) Seal() *Snapshot {
-	s.sealed.Store(true)
-	return s.publish(true)
-}
+func (s *Sink) Seal() *Snapshot { return s.publish(true) }
 
+// publish freezes the accumulator into the next epoch under mu. The
+// caller-supplied Config.Now and Config.Log run outside the lock.
 func (s *Sink) publish(complete bool) *Snapshot {
 	start := time.Now()
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
+	now := s.cfg.Now()
 
+	s.mu.Lock()
+	prev := s.cur.Load()
 	snap := &Snapshot{
-		Grid:     s.cfg.Grid,
-		Complete: complete || s.sealed.Load(),
-		Cells:    map[grid.CellID]CellStats{},
-		OD:       map[ODKey]ODStats{},
-		Gates:    s.cfg.Gates,
+		Epoch:        prev.Epoch + 1,
+		CarsIngested: s.cars,
+		CarsFailed:   s.failed,
+		Complete:     complete || prev.Complete, // sealed stays sealed
+		Points:       s.points,
+		PublishedAt:  now,
+		Grid:         s.cfg.Grid,
+		Cells:        make(map[grid.CellID]CellStats, s.agg.NumNonEmpty()),
+		OD:           make(map[ODKey]ODStats, len(s.od)),
+		Gates:        s.cfg.Gates,
 	}
-	merged := grid.NewAggregator(s.cfg.Grid)
-	type odMerge struct {
-		acc    odAcc
-		travel *obs.Histogram
-	}
-	ods := map[ODKey]*odMerge{}
-	profiles := map[EdgeProfileKey]*stats.Welford{}
-	// Merge shard-by-shard in index order: each shard is locked only
-	// while it is copied, so ingest into other shards proceeds in
-	// parallel with the merge.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		snap.CarsIngested += sh.cars
-		snap.CarsFailed += sh.failed
-		snap.Points += sh.points
-		merged.Merge(sh.agg)
-		for dir, od := range sh.od {
-			m := ods[dir]
-			if m == nil {
-				m = &odMerge{acc: odAcc{from: od.from, to: od.to}, travel: &obs.Histogram{}}
-				ods[dir] = m
-			}
-			m.acc.trips += od.trips
-			m.travel.Merge(od.travel)
-			m.acc.distKm.Merge(od.distKm)
-			m.acc.fuelMl.Merge(od.fuelMl)
-			m.acc.lowPct.Merge(od.lowPct)
-			m.acc.normalPct.Merge(od.normalPct)
-			m.acc.lights += od.lights
-			m.acc.busStops += od.busStops
-			m.acc.pedestrian += od.pedestrian
-			m.acc.junctions += od.junctions
-		}
-		for key, w := range sh.profiles {
-			m := profiles[key]
-			if m == nil {
-				m = &stats.Welford{}
-				profiles[key] = m
-			}
-			m.Merge(*w)
-		}
-		sh.mu.Unlock()
-	}
-	for _, c := range merged.Cells() {
+	for _, c := range s.agg.Cells() {
 		snap.Cells[c.ID] = newCellStats(c)
 	}
-	if len(profiles) > 0 {
-		snap.EdgeProfiles = make(map[EdgeProfileKey]EdgeProfileStats, len(profiles))
-		for key, w := range profiles {
+	if len(s.profiles) > 0 {
+		snap.EdgeProfiles = make(map[EdgeProfileKey]EdgeProfileStats, len(s.profiles))
+		for key, w := range s.profiles {
 			snap.EdgeProfiles[key] = newEdgeProfileStats(w)
 		}
 	}
-	for dir, m := range ods {
+	for dir, od := range s.od {
 		snap.OD[dir] = ODStats{
-			From:           m.acc.from,
-			To:             m.acc.to,
-			Trips:          m.acc.trips,
-			TravelTimeS:    m.travel.Freeze(),
-			DistKm:         summarize(m.acc.distKm),
-			FuelMl:         summarize(m.acc.fuelMl),
-			LowSpeedPct:    summarize(m.acc.lowPct),
-			NormalSpeedPct: summarize(m.acc.normalPct),
+			From:           dir.From,
+			To:             dir.To,
+			Trips:          od.trips,
+			TravelTimeS:    od.travel.Freeze(),
+			DistKm:         summarize(od.distKm),
+			FuelMl:         summarize(od.fuelMl),
+			LowSpeedPct:    summarize(od.lowPct),
+			NormalSpeedPct: summarize(od.normalPct),
 			Attrs: AttrTotals{
-				TrafficLights:       m.acc.lights,
-				BusStops:            m.acc.busStops,
-				PedestrianCrossings: m.acc.pedestrian,
-				Junctions:           m.acc.junctions,
+				TrafficLights:       od.lights,
+				BusStops:            od.busStops,
+				PedestrianCrossings: od.pedestrian,
+				Junctions:           od.junctions,
 			},
 		}
 	}
-	prev := s.cur.Load()
-	snap.Epoch = prev.Epoch + 1
-	snap.PublishedAt = s.cfg.Now()
 	if err := s.checker.SnapshotTransition(
 		check.SnapshotMeta{Epoch: prev.Epoch, CarsIngested: prev.CarsIngested, CarsFailed: prev.CarsFailed, Points: prev.Points},
 		check.SnapshotMeta{Epoch: snap.Epoch, CarsIngested: snap.CarsIngested, CarsFailed: snap.CarsFailed, Points: snap.Points},
@@ -450,13 +383,14 @@ func (s *Sink) publish(complete bool) *Snapshot {
 		s.checkErr = err
 	}
 	s.cur.Store(snap)
-
-	s.met.publishes.Inc()
-	s.met.publishTime.Observe(time.Since(start).Seconds())
 	s.met.epoch.Set(int64(snap.Epoch))
 	s.met.cells.Set(int64(len(snap.Cells)))
 	s.met.odPairs.Set(int64(len(snap.OD)))
 	s.met.profiles.Set(int64(len(snap.EdgeProfiles)))
+	s.mu.Unlock()
+
+	s.met.publishes.Inc()
+	s.met.publishTime.Observe(time.Since(start).Seconds())
 	if log := s.cfg.Log; log != nil {
 		msg, level := "snapshot published", slog.LevelDebug
 		if snap.Complete {

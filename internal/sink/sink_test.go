@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/odselect"
 	"repro/internal/runner"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
@@ -56,13 +57,13 @@ func synthCar(car int, dir string, speeds ...float64) core.CarResult {
 	return core.CarResult{Car: car, Transitions: []*core.TransitionRecord{rec}}
 }
 
-func testSink(t *testing.T, shards, publishEvery int) *Sink {
+func testSink(t *testing.T, publishEvery int) *Sink {
 	t.Helper()
 	g, err := grid.New(geo.R(0, 0, 2000, 2000), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Grid: g, Shards: shards, PublishEvery: publishEvery})
+	s, err := New(Config{Grid: g, PublishEvery: publishEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestEmptySnapshotBeforeIngest(t *testing.T) {
-	s := testSink(t, 4, 1)
+	s := testSink(t, 1)
 	snap := s.Snapshot()
 	if snap == nil || snap.Epoch != 0 || snap.Complete || len(snap.Cells) != 0 || len(snap.OD) != 0 {
 		t.Fatalf("initial snapshot = %+v", snap)
@@ -84,7 +85,7 @@ func TestEmptySnapshotBeforeIngest(t *testing.T) {
 }
 
 func TestAbsorbPublishSeal(t *testing.T) {
-	s := testSink(t, 4, 1)
+	s := testSink(t, 1)
 	cr1 := synthCar(1, "T-S", 30, 40, 50)
 	cr2 := synthCar(2, "S-T", 10, 20)
 	s.AbsorbEvent(core.CarEvent{Car: 1, Result: cr1})
@@ -132,10 +133,15 @@ func TestAbsorbPublishSeal(t *testing.T) {
 	if !ok || c.N != 1 || c.MeanKmh != 30 {
 		t.Fatalf("cell (0,0) = %+v ok=%v", c, ok)
 	}
+
+	// A sealed sink stays sealed.
+	if later := s.Publish(); !later.Complete {
+		t.Fatalf("publish after Seal: epoch %d not complete", later.Epoch)
+	}
 }
 
 func TestAutoPublishCadence(t *testing.T) {
-	s := testSink(t, 2, 3)
+	s := testSink(t, 3)
 	for car := 1; car <= 7; car++ {
 		s.Absorb(&core.CarResult{Car: car})
 	}
@@ -150,7 +156,7 @@ func TestAutoPublishCadence(t *testing.T) {
 		t.Fatalf("sealed cars = %d", got)
 	}
 
-	manual := testSink(t, 2, -1) // auto-publish disabled
+	manual := testSink(t, -1) // auto-publish disabled
 	for car := 1; car <= 5; car++ {
 		manual.Absorb(&core.CarResult{Car: car})
 	}
@@ -166,7 +172,7 @@ func TestAutoPublishCadence(t *testing.T) {
 // under -race this is the sink's concurrency gate. The sealed totals
 // must reconcile exactly.
 func TestConcurrentAbsorb(t *testing.T) {
-	s := testSink(t, 4, 2)
+	s := testSink(t, 2)
 	const cars = 200
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -252,7 +258,7 @@ func TestFinalSnapshotMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Grid: g, Shards: 3, PublishEvery: 1})
+	s, err := New(Config{Grid: g, PublishEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +365,7 @@ func TestFinalSnapshotMatchesBatch(t *testing.T) {
 
 	// AbsorbResult over the batch Result must seal to the same values —
 	// the CSV-ingest bridge is equivalent to the stream feed.
-	s2, err := New(Config{Grid: g, Shards: 5, PublishEvery: -1})
+	s2, err := New(Config{Grid: g, PublishEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,13 +382,144 @@ func TestFinalSnapshotMatchesBatch(t *testing.T) {
 	}
 }
 
+// sameBits is exact float equality: the same IEEE-754 bit pattern.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameMoments reports whether frozen moments equal w's bit for bit (the
+// variance only from two observations up, as the snapshot stores it).
+func sameMoments(n int, mean, variance, lo, hi float64, w *stats.Welford) bool {
+	wantVar := 0.0
+	if w.N() >= 2 {
+		wantVar = w.Variance()
+	}
+	return n == w.N() && sameBits(mean, w.Mean()) && sameBits(variance, wantVar) &&
+		sameBits(lo, w.Min()) && sameBits(hi, w.Max())
+}
+
+// TestSealedSnapshotIsSequentialFold: the sealed snapshot is one
+// sequential fold of the absorbed observations in absorb order — every
+// cell, OD metric, travel-time histogram and profile bucket equals, bit
+// for bit, a plain grid.Aggregator / stats.Welford / obs.Histogram fold
+// of the same values. Many car ids share each cell, direction and
+// profile bucket, so any regrouping of the fold (such as a per-car-id
+// split merged at publish) shows up in the low bits.
+func TestSealedSnapshotIsSequentialFold(t *testing.T) {
+	var cars []core.CarResult
+	for i := 0; i < 24; i++ {
+		speeds := make([]float64, 6)
+		for k := range speeds {
+			speeds[k] = 17.3 + float64((i*7+k*13)%29)*1.37
+		}
+		// Geometry rows 0 and 1 share grid row J=0, so every car
+		// lands in the same few cells whatever its id.
+		cr := synthCar(i%2, []string{"T-S", "S-T", "L-T"}[i%3], speeds...)
+		cr.Car = i
+		rec := cr.Transitions[0]
+		rec.RouteTimeH = 0.05 + float64(i%9)*0.0137
+		rec.RouteDistKm = 1.1 + float64(i%5)*0.37
+		rec.FuelMl = 38.2 + float64(i%7)*2.9
+		rec.LowSpeedPct = float64(i%11) * 3.3
+		rec.NormalSpeedPct = 100 - rec.LowSpeedPct*1.7
+		cars = append(cars, cr)
+	}
+	for i := 0; i < 12; i++ {
+		cr := matchedCar(i%2, 7, 8+i%2, 97.3+float64(i)*13.1, 5)
+		cr.Car = 100 + i
+		cars = append(cars, cr)
+	}
+
+	s := testSink(t, -1)
+	for _, cr := range cars {
+		s.AbsorbEvent(core.CarEvent{Car: cr.Car, Result: cr})
+	}
+	snap := s.Seal()
+
+	type refOD struct {
+		trips                             int
+		travel                            obs.Histogram
+		distKm, fuelMl, lowPct, normalPct stats.Welford
+	}
+	cells := grid.NewAggregator(snap.Grid)
+	ods := map[ODKey]*refOD{}
+	profiles := map[EdgeProfileKey]*stats.Welford{}
+	points := 0
+	for _, cr := range cars {
+		for _, rec := range cr.Transitions {
+			for _, sp := range core.TransitionSpeedPoints(rec) {
+				if cells.Add(sp.Pos, sp.SpeedKmh) {
+					points++
+				}
+			}
+			key := ODKey{From: rec.Transition.From, To: rec.Transition.To}
+			if ods[key] == nil {
+				ods[key] = &refOD{}
+			}
+			od := ods[key]
+			od.trips++
+			od.travel.Observe(rec.RouteTimeH * 3600)
+			od.distKm.Add(rec.RouteDistKm)
+			od.fuelMl.Add(rec.FuelMl)
+			od.lowPct.Add(rec.LowSpeedPct)
+			od.normalPct.Add(rec.NormalSpeedPct)
+			for _, ep := range core.TransitionEdgePaces(rec) {
+				key := EdgeProfileKey{Edge: ep.Edge, Hour: ep.Hour}
+				if profiles[key] == nil {
+					profiles[key] = &stats.Welford{}
+				}
+				profiles[key].Add(ep.SecPerKm)
+			}
+		}
+	}
+
+	if snap.CarsIngested != len(cars) || snap.Points != points {
+		t.Fatalf("cars/points = %d/%d, want %d/%d", snap.CarsIngested, snap.Points, len(cars), points)
+	}
+	if len(snap.Cells) != cells.NumNonEmpty() || len(snap.OD) != len(ods) || len(snap.EdgeProfiles) != len(profiles) {
+		t.Fatalf("cells/directions/profiles = %d/%d/%d, want %d/%d/%d",
+			len(snap.Cells), len(snap.OD), len(snap.EdgeProfiles), cells.NumNonEmpty(), len(ods), len(profiles))
+	}
+	for _, rc := range cells.Cells() {
+		if c := snap.Cells[rc.ID]; !sameMoments(c.N, c.MeanKmh, c.VarKmh, c.MinKmh, c.MaxKmh, &rc.Speed) {
+			t.Errorf("cell %v = %+v, want the sequential fold %+v", rc.ID, c, rc.Speed)
+		}
+	}
+	for key, ref := range ods {
+		od := snap.OD[key]
+		want := ref.travel.Freeze()
+		if od.Trips != ref.trips || !od.TravelTimeS.Equal(want) || !sameBits(od.TravelTimeS.Sum(), want.Sum()) {
+			t.Errorf("%s: trips %d, travel-time sum %v; want %d, %v bucket for bucket",
+				key, od.Trips, od.TravelTimeS.Sum(), ref.trips, want.Sum())
+		}
+		for _, m := range []struct {
+			name string
+			got  MetricStats
+			want *stats.Welford
+		}{
+			{"dist", od.DistKm, &ref.distKm},
+			{"fuel", od.FuelMl, &ref.fuelMl},
+			{"low-speed", od.LowSpeedPct, &ref.lowPct},
+			{"normal-speed", od.NormalSpeedPct, &ref.normalPct},
+		} {
+			if m.got.N != m.want.N() || !sameBits(m.got.Mean, m.want.Mean()) ||
+				!sameBits(m.got.Min, m.want.Min()) || !sameBits(m.got.Max, m.want.Max()) {
+				t.Errorf("%s %s = %+v, want the sequential fold %+v", key, m.name, m.got, *m.want)
+			}
+		}
+	}
+	for key, w := range profiles {
+		if p := snap.EdgeProfiles[key]; !sameMoments(p.N, p.MeanSPerKm, p.VarSPerKm, p.MinSPerKm, p.MaxSPerKm, w) {
+			t.Errorf("profile %+v = %+v, want the sequential fold %+v", key, p, *w)
+		}
+	}
+}
+
 func TestMetricsWiring(t *testing.T) {
 	reg := obs.NewRegistry()
 	g, err := grid.New(geo.R(0, 0, 1000, 1000), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Grid: g, Shards: 2, PublishEvery: 1, Metrics: reg})
+	s, err := New(Config{Grid: g, PublishEvery: 1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +542,7 @@ func TestMetricsWiring(t *testing.T) {
 }
 
 func TestDirectionsAndCellIDsSorted(t *testing.T) {
-	s := testSink(t, 1, -1)
+	s := testSink(t, -1)
 	s.Absorb(&core.CarResult{Car: 1, Transitions: []*core.TransitionRecord{}})
 	for car, dir := range []string{"T-S", "L-T", "S-L"} {
 		s.AbsorbEvent(core.CarEvent{Car: car, Result: synthCar(car, dir, 20, 30, 40)})
@@ -464,7 +601,7 @@ func TestFinalSnapshotMatchesBatchUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Grid: g, Shards: 3, PublishEvery: 1,
+		Grid: g, PublishEvery: 1,
 		Gates: p.Selector.GateNames(), Check: check.Config{Strict: true},
 	})
 	if err != nil {

@@ -110,7 +110,7 @@ type EdgeProfileKey struct {
 
 // EdgeProfileStats is one profile bucket's pace aggregate, carrying the
 // full Welford sufficient statistics so buckets merge exactly across
-// shards and cluster partials (like CellStats, var only when N >= 2).
+// cluster partials (like CellStats, var only when N >= 2).
 type EdgeProfileStats struct {
 	N          int     `json:"n"`
 	MeanSPerKm float64 `json:"mean_s_per_km"`
