@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench perfbench bench-runner bench-serve bench-fleet bench-obs bench-ingest bench-cluster bench-predict race ci fuzz profile results examples clean help
+.PHONY: all build test vet bench perfbench bench-runner bench-serve bench-fleet bench-obs bench-ingest bench-cluster bench-predict bench-router race ci fuzz profile results examples clean help
 
 all: build vet test
 
@@ -15,8 +15,8 @@ help:
 	@echo "  race     go vet + go test -race ./... (concurrency gate for the"
 	@echo "           shared Router: pooled scratch, sharded path cache and"
 	@echo "           parallel per-car workers all run under the race detector)"
-	@echo "  ci       the full gate CI runs: build + vet + test + race,"
-	@echo "           then the cross-mode gates at -cpu 1,2,4"
+	@echo "  ci       the full gate CI runs: gofmt check + build + vet +"
+	@echo "           test + race, then the cross-mode gates at -cpu 1,2,4"
 	@echo "  fuzz     run every native fuzz target for FUZZTIME (default 30s)"
 	@echo "           each; seed corpora live in testdata/fuzz/"
 	@echo "  bench    run every benchmark with -benchmem"
@@ -47,6 +47,9 @@ help:
 	@echo "           prediction over a 24x24 street grid, free-flow vs"
 	@echo "           fully profiled, plus anomaly-report scoring at 100"
 	@echo "           and 1000 cells) into results/BENCH_predict.json"
+	@echo "  bench-router  snapshot routing-engine perf (uncached"
+	@echo "           bidirectional search, path-cache hits, one-to-many"
+	@echo "           distance batches) into results/BENCH_router.json"
 	@echo "  profile  run a large taxiflow workload with -debug-addr and"
 	@echo "           capture a 10 s CPU profile into cpu.pprof"
 	@echo "  results  regenerate all paper tables/figures into results/"
@@ -70,10 +73,14 @@ race:
 	$(GO) test -race ./...
 
 # The full gate: what .github/workflows/ci.yml runs on every push/PR.
-# The last line reruns the cross-mode gates (cluster = single node,
-# streamed = batch) at several core counts: an answer that depends on
-# GOMAXPROCS fails there.
+# The first line fails on any tracked Go file gofmt would change (listing
+# through git keeps build products such as .bench_build/ out). The last
+# line reruns the cross-mode gates (cluster = single node, streamed =
+# batch) at several core counts: an answer that depends on GOMAXPROCS
+# fails there.
 ci:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -213,6 +220,15 @@ bench-cluster:
 predict_notes := 24x24 grid (1100 edges), 36 km/h, profiles on every edge at 3 rush hours; anomaly reports score+fold 100/1000 cells + 1 OD against a 4-epoch EW reference
 bench-predict:
 	$(call bench_snapshot,predict,BenchmarkPredict|BenchmarkAnomalyReport,-benchmem -count=5,./internal/predict/,$(predict_notes))
+
+# Routing-engine perf trajectory: uncached point-to-point search (the
+# bidirectional Dijkstra kernel), the same queries from the path cache,
+# and the HMM matcher's one-to-many distance batch, over the seed-42
+# synthetic Oulu city; medians over 5 repetitions into
+# results/BENCH_router.json.
+router_notes := seed-42 synthetic Oulu city, 64 random connected node pairs; uncached = bidirectional Dijkstra kernel, cached = path cache of 8192 paths, batch = 2 sources under an 800 m bound plus 2 lookups
+bench-router:
+	$(call bench_snapshot,router,^BenchmarkShortest,-benchmem -count=5,./internal/roadnet/,$(router_notes))
 
 # Regenerate every paper table and figure (plus ablations) into results/.
 results:

@@ -383,88 +383,6 @@ func BenchmarkAblationSpatialIndex(b *testing.B) {
 	})
 }
 
-// --- Routing engine ---
-
-// routerBenchPairs picks random connected node pairs over the bench
-// city, reused by the router micro-benchmarks.
-func routerBenchPairs(b *testing.B, g *roadnet.Graph, n int) [][2]roadnet.NodeID {
-	b.Helper()
-	r := roadnet.NewRouter(g, roadnet.RouterOptions{PathCachePaths: -1})
-	rng := rand.New(rand.NewSource(19))
-	pairs := make([][2]roadnet.NodeID, 0, n)
-	for len(pairs) < n {
-		from := roadnet.NodeID(rng.Intn(len(g.Nodes)))
-		to := roadnet.NodeID(rng.Intn(len(g.Nodes)))
-		if _, err := r.ShortestPath(from, to, roadnet.DistanceWeight); err != nil {
-			continue
-		}
-		pairs = append(pairs, [2]roadnet.NodeID{from, to})
-	}
-	return pairs
-}
-
-// BenchmarkShortestPath measures uncached point-to-point routing
-// (bidirectional Dijkstra on pooled scratch).
-func BenchmarkShortestPath(b *testing.B) {
-	env := benchEnvironment(b)
-	g := env.P.Graph
-	pairs := routerBenchPairs(b, g, 64)
-	r := roadnet.NewRouter(g, roadnet.RouterOptions{PathCachePaths: -1})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		if _, err := r.ShortestPath(p[0], p[1], roadnet.DistanceWeight); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShortestPathCached measures the same queries answered from
-// the sharded LRU path cache.
-func BenchmarkShortestPathCached(b *testing.B) {
-	env := benchEnvironment(b)
-	g := env.P.Graph
-	pairs := routerBenchPairs(b, g, 64)
-	r := roadnet.NewRouter(g, roadnet.RouterOptions{})
-	for _, p := range pairs { // warm the cache
-		if _, err := r.ShortestPath(p[0], p[1], roadnet.DistanceWeight); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		if _, err := r.ShortestPath(p[0], p[1], roadnet.DistanceWeight); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	s := r.CacheStats()
-	b.ReportMetric(float64(s.Hits)/float64(s.Hits+s.Misses), "hit-rate")
-}
-
-// BenchmarkShortestDistancesBatch measures the HMM matcher's one-to-many
-// primitive: a pooled batch of bounded Dijkstra trees plus lookups.
-func BenchmarkShortestDistancesBatch(b *testing.B) {
-	env := benchEnvironment(b)
-	g := env.P.Graph
-	pairs := routerBenchPairs(b, g, 64)
-	r := roadnet.NewRouter(g, roadnet.RouterOptions{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		batch := r.NewDistanceBatch(roadnet.DistanceWeight, 800)
-		batch.AddSource(p[0])
-		batch.AddSource(p[1])
-		batch.Dist(p[0], p[1])
-		batch.Dist(p[1], p[0])
-		batch.Release()
-	}
-}
-
 // BenchmarkCleanRepair isolates the cleaning stage.
 func BenchmarkCleanRepair(b *testing.B) {
 	env := benchEnvironment(b)

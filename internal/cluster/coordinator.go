@@ -25,8 +25,9 @@ type CoordinatorConfig struct {
 	NumShards int
 	// PullEvery paces the partial-pull loop (default 100ms).
 	PullEvery time.Duration
-	// HeartbeatTimeout is the staleness bound: a worker not heard from
-	// (heartbeat or successful pull) for longer is lost (default 2s).
+	// HeartbeatTimeout is the staleness bound: a worker whose last
+	// register, heartbeat or drain is older than this is lost (default
+	// 2s). Partial pulls do not count as being heard from.
 	HeartbeatTimeout time.Duration
 	// MaxFailures / MaxFailureFrac budget worker losses with
 	// runner.Config semantics, resolved against NumShards via

@@ -45,15 +45,11 @@ type Coach struct {
 	rt    *roadnet.Router
 }
 
-// New builds a coach over the network's shared routing engine.
+// New builds a coach over the graph's routing engine, so its
+// reference-route queries share the path cache of every other stage
+// routing over the graph.
 func New(graph *roadnet.Graph) *Coach {
-	return NewWithRouter(graph.Router())
-}
-
-// NewWithRouter builds a coach over an explicit routing engine, so the
-// reference-route queries share the pipeline's path cache.
-func NewWithRouter(rt *roadnet.Router) *Coach {
-	return &Coach{graph: rt.Graph(), rt: rt}
+	return &Coach{graph: graph, rt: graph.Router()}
 }
 
 // Analyze scores one transition.

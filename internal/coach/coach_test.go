@@ -71,6 +71,30 @@ func TestAnalyzePlausible(t *testing.T) {
 	}
 }
 
+// TestCoachSharesPipelineRouter pins one router per road graph: the
+// pipeline routes through its graph's router, and a coach built from
+// the same graph looks its reference routes up in that path cache.
+func TestCoachSharesPipelineRouter(t *testing.T) {
+	p, recs := testData(t)
+	if p.Router != p.Graph.Router() {
+		t.Fatal("Pipeline.Router is not the graph's router")
+	}
+	c := New(p.Graph)
+	for _, rec := range recs {
+		if len(rec.Match.Geometry) < 2 {
+			continue
+		}
+		before := p.Router.CacheStats()
+		c.Analyze(rec)
+		after := p.Router.CacheStats()
+		if after.Hits+after.Misses == before.Hits+before.Misses {
+			t.Fatalf("Analyze added no lookups to the pipeline router's cache: %+v", after)
+		}
+		return
+	}
+	t.Fatal("no transition with a matched geometry")
+}
+
 func TestEcoScoreOrdersTrips(t *testing.T) {
 	// A clean trip beats an idle-heavy detour.
 	good := TripReport{IdlePct: 2, LowSpeedPct: 12, DetourFactor: 1.02}

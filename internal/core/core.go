@@ -178,8 +178,8 @@ func NewPipelineWithCity(city *digiroad.City, cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: build road graph: %w", err)
 	}
-	router := roadnet.NewRouter(graph, roadnet.RouterOptions{})
-	gen, err := tracegen.NewWithRouter(city, router, cfg.Fleet)
+	router := graph.Router()
+	gen, err := tracegen.New(city, graph, cfg.Fleet)
 	if err != nil {
 		return nil, fmt.Errorf("core: build fleet generator: %w", err)
 	}
@@ -208,7 +208,7 @@ func NewPipelineWithCity(city *digiroad.City, cfg Config) (*Pipeline, error) {
 		Router:   router,
 		Gen:      gen,
 		Selector: sel,
-		Matcher:  mapmatch.NewIncrementalRouter(router, cfg.Match),
+		Matcher:  mapmatch.NewIncremental(graph, cfg.Match),
 		Fetcher:  mapattr.NewFetcher(city.DB, graph, 0),
 		Weather:  wm,
 		Rules:    cfg.Segment,

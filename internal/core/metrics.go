@@ -139,8 +139,7 @@ func (m *pipelineMetrics) recordFunnel(f odselect.Funnel) {
 
 // registerRouterGauges re-exports the router path-cache counters (which
 // the roadnet package keeps itself) as snapshot-time gauges: hit/miss/
-// eviction totals, hit rate, total occupancy, and per-shard occupancy,
-// so a full or skewed cache shows in the metrics.
+// eviction totals, hit rate and occupancy.
 func registerRouterGauges(reg *obs.Registry, router *roadnet.Router) {
 	if reg == nil || router == nil {
 		return
@@ -159,27 +158,5 @@ func registerRouterGauges(reg *obs.Registry, router *roadnet.Router) {
 	})
 	reg.GaugeFunc("router_cache_hit_rate", func() float64 {
 		return router.CacheStats().HitRate()
-	})
-	reg.GaugeFunc("router_cache_shard_max_entries", func() float64 {
-		max := 0
-		for _, n := range router.CacheStats().ShardEntries {
-			if n > max {
-				max = n
-			}
-		}
-		return float64(max)
-	})
-	reg.GaugeFunc("router_cache_shard_min_entries", func() float64 {
-		s := router.CacheStats().ShardEntries
-		if len(s) == 0 {
-			return 0
-		}
-		min := s[0]
-		for _, n := range s {
-			if n < min {
-				min = n
-			}
-		}
-		return float64(min)
 	})
 }

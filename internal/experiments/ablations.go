@@ -88,10 +88,10 @@ func AblationMatchers(env *Env) *Report {
 		name  string
 		match func([]trace.RoutePoint) (*mapmatch.Result, error)
 	}{
-		{"incremental+hints", mapmatch.NewIncrementalRouter(env.P.Router, mapmatch.DefaultConfig()).Match},
-		{"incremental-plain", mapmatch.NewIncrementalRouter(env.P.Router, plainCfg).Match},
-		{"incremental-look2", mapmatch.NewIncrementalRouter(env.P.Router, lookCfg).Match},
-		{"hmm-viterbi", mapmatch.NewHMMRouter(env.P.Router, mapmatch.HMMConfig{}).Match},
+		{"incremental+hints", mapmatch.NewIncremental(env.P.Graph, mapmatch.DefaultConfig()).Match},
+		{"incremental-plain", mapmatch.NewIncremental(env.P.Graph, plainCfg).Match},
+		{"incremental-look2", mapmatch.NewIncremental(env.P.Graph, lookCfg).Match},
+		{"hmm-viterbi", mapmatch.NewHMM(env.P.Graph, mapmatch.HMMConfig{}).Match},
 	}
 
 	var w bytes.Buffer
@@ -218,7 +218,7 @@ func Extensions(env *Env) []*Report {
 func EcoRoutes(env *Env) *Report {
 	recs := env.Res.Transitions()
 	var w bytes.Buffer
-	c := coach.NewWithRouter(env.P.Router)
+	c := coach.New(env.P.Graph)
 	var scores []float64
 	for _, rec := range recs {
 		scores = append(scores, c.Analyze(rec).EcoScore)

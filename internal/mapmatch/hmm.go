@@ -48,20 +48,13 @@ type HMMMatcher struct {
 	inc *Matcher // reused for route assembly
 }
 
-// NewHMM builds the baseline matcher over the graph's shared routing
-// engine.
+// NewHMM builds the baseline matcher over the graph's routing engine.
 func NewHMM(g *roadnet.Graph, cfg HMMConfig) *HMMMatcher {
-	return NewHMMRouter(g.Router(), cfg)
-}
-
-// NewHMMRouter builds the baseline matcher over an explicit routing
-// engine shared with the rest of a pipeline.
-func NewHMMRouter(rt *roadnet.Router, cfg HMMConfig) *HMMMatcher {
 	return &HMMMatcher{
-		g:   rt.Graph(),
-		rt:  rt,
+		g:   g,
+		rt:  g.Router(),
 		cfg: cfg.withDefaults(),
-		inc: NewIncrementalRouter(rt, DefaultConfig()),
+		inc: NewIncremental(g, DefaultConfig()),
 	}
 }
 

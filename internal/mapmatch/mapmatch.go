@@ -150,17 +150,11 @@ func (m *Matcher) putScratch(s *matchScratch) {
 	m.scratch.Put(s)
 }
 
-// NewIncremental builds a matcher over the graph's shared routing
-// engine.
+// NewIncremental builds a matcher over the graph's routing engine, so
+// its gap-filling searches share the scratch pools and path cache of
+// every other stage and worker routing over the graph.
 func NewIncremental(g *roadnet.Graph, cfg Config) *Matcher {
-	return NewIncrementalRouter(g.Router(), cfg)
-}
-
-// NewIncrementalRouter builds a matcher over an explicit routing
-// engine, so a pipeline can share one Router (scratch pools and path
-// cache) across all of its stages and workers.
-func NewIncrementalRouter(rt *roadnet.Router, cfg Config) *Matcher {
-	return &Matcher{g: rt.Graph(), rt: rt, cfg: cfg.withDefaults()}
+	return &Matcher{g: g, rt: g.Router(), cfg: cfg.withDefaults()}
 }
 
 // ErrNoCandidate is returned when no input point has any candidate
@@ -168,11 +162,6 @@ func NewIncrementalRouter(rt *roadnet.Router, cfg Config) *Matcher {
 // permanent (non-retryable) condition: the same trace re-matched
 // against the same map fails the same way.
 var ErrNoCandidate = errors.New("mapmatch: no point matched the network")
-
-// ErrNoMatch is the historical name of ErrNoCandidate.
-//
-// Deprecated: test with errors.Is(err, ErrNoCandidate).
-var ErrNoMatch = ErrNoCandidate
 
 // ErrEmptyInput is returned for a zero-point input. Permanent.
 var ErrEmptyInput = errors.New("mapmatch: empty input")

@@ -44,7 +44,7 @@ func benchGraph(b *testing.B, n int) (*roadnet.Graph, *roadnet.Router) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g, roadnet.NewRouter(g, roadnet.RouterOptions{})
+	return g, g.Router()
 }
 
 // benchSnapshot profiles every edge of the graph at three rush hours,

@@ -40,7 +40,7 @@ func testGraph(t *testing.T) (*roadnet.Graph, *roadnet.Router) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, roadnet.NewRouter(g, roadnet.RouterOptions{})
+	return g, g.Router()
 }
 
 // edgeByElement finds the graph edge built from the given traffic
@@ -242,7 +242,7 @@ func TestPredictErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewPredictor(oneway, roadnet.NewRouter(oneway, roadnet.RouterOptions{}))
+	q := NewPredictor(oneway, oneway.Router())
 	if _, err := q.Predict(&sink.Snapshot{}, geo.V(100, 0), geo.V(0, 0), 8); !errors.Is(err, roadnet.ErrNoPath) {
 		t.Fatalf("want ErrNoPath, got %v", err)
 	}

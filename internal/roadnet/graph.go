@@ -72,7 +72,7 @@ type Graph struct {
 	edgeIndex *geo.RTree
 	nodeIndex *geo.RTree
 
-	// Shared default routing engine, built lazily by Router().
+	// The graph's one routing engine, built lazily by Router().
 	routerOnce sync.Once
 	router     *Router
 }

@@ -123,52 +123,19 @@ func (pq *priorityQueue) Pop() interface{} {
 	return it
 }
 
-// Router returns the graph's shared routing engine, built lazily on
-// first use. Code assembling a pipeline should construct its own
-// engine with NewRouter (to control cache sizing) and pass it down;
-// this accessor backs the compatibility wrappers below and standalone
-// use.
+// Router returns the graph's routing engine, built on first use. It is
+// the only way to get a Router: every stage routing over the graph
+// shares its scratch pools and path cache.
 func (g *Graph) Router() *Router {
 	g.routerOnce.Do(func() {
-		g.router = NewRouter(g, RouterOptions{})
+		g.router = newRouter(g)
 	})
 	return g.router
 }
 
 // ShortestPath routes from one node to another under the given weight
-// (nil selects DistanceWeight). Flow directions are respected. Thin
-// compatibility wrapper over the shared Router.
+// (nil selects DistanceWeight). Flow directions are respected.
+// Shorthand for g.Router().ShortestPath.
 func (g *Graph) ShortestPath(from, to NodeID, weight WeightFunc) (*Path, error) {
 	return g.Router().ShortestPath(from, to, weight)
-}
-
-// ShortestPathAStar runs A* with an admissible straight-line heuristic
-// derived from the weight of a representative edge: for DistanceWeight
-// semantics use heuristicSpeed <= 1 (metres per cost unit); for
-// TravelTimeWeight pass the network's maximum speed in m/s. Thin
-// compatibility wrapper over the shared Router.
-func (g *Graph) ShortestPathAStar(from, to NodeID, weight WeightFunc, heuristicSpeed float64) (*Path, error) {
-	return g.Router().ShortestPathAStar(from, to, weight, heuristicSpeed)
-}
-
-// MaxSpeedKmh returns the highest speed limit in the network, used to
-// keep the A* travel-time heuristic admissible.
-func (g *Graph) MaxSpeedKmh() float64 {
-	max := 0.0
-	for i := range g.Edges {
-		if g.Edges[i].SpeedLimitKmh > max {
-			max = g.Edges[i].SpeedLimitKmh
-		}
-	}
-	return max
-}
-
-// ShortestDistances runs bounded Dijkstra from one node and returns the
-// cost to every node reachable within maxCost (inclusive). It is the
-// one-to-many primitive used by the HMM matcher's transition model;
-// hot callers should prefer Router.NewDistanceBatch, which reuses the
-// search scratch and avoids the per-call map. Thin compatibility
-// wrapper over the shared Router.
-func (g *Graph) ShortestDistances(from NodeID, weight WeightFunc, maxCost float64) map[NodeID]float64 {
-	return g.Router().ShortestDistances(from, weight, maxCost)
 }

@@ -2,7 +2,6 @@ package roadnet
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"repro/internal/digiroad"
@@ -177,30 +176,6 @@ func TestTravelTimeWeightPrefersFastRoad(t *testing.T) {
 	}
 }
 
-func TestAStarMatchesDijkstra(t *testing.T) {
-	g, err := Build(gridDB(t, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	maxSpeed := g.MaxSpeedKmh() / 3.6
-	for trial := 0; trial < 40; trial++ {
-		from := NodeID(rng.Intn(len(g.Nodes)))
-		to := NodeID(rng.Intn(len(g.Nodes)))
-		d, errD := g.ShortestPath(from, to, TravelTimeWeight)
-		a, errA := g.ShortestPathAStar(from, to, TravelTimeWeight, maxSpeed)
-		if (errD == nil) != (errA == nil) {
-			t.Fatalf("trial %d: error mismatch %v vs %v", trial, errD, errA)
-		}
-		if errD != nil {
-			continue
-		}
-		if !almostEq(d.Cost, a.Cost, 1e-6) {
-			t.Fatalf("trial %d: dijkstra %f vs A* %f", trial, d.Cost, a.Cost)
-		}
-	}
-}
-
 func TestWeightFuncCanForbidEdges(t *testing.T) {
 	g, err := Build(gridDB(t, 3))
 	if err != nil {
@@ -239,17 +214,27 @@ func TestPathEdges(t *testing.T) {
 	}
 }
 
+// TestShortestDistancesMatchesPointQueries checks one bounded
+// shortest-distance tree from a fixed grid corner: every node it reaches
+// is within the bound and at its point-query distance, and a node beyond
+// the bound is absent.
 func TestShortestDistancesMatchesPointQueries(t *testing.T) {
 	g, err := Build(gridDB(t, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	from := nodeAt(t, g, geo.V(100, 100))
-	dists := g.ShortestDistances(from, nil, 350)
-	if len(dists) < 4 {
-		t.Fatalf("tree too small: %d nodes", len(dists))
-	}
-	for to, d := range dists {
+	batch := g.Router().NewDistanceBatch(nil, 350)
+	defer batch.Release()
+	batch.AddSource(from)
+	reached := 0
+	for n := range g.Nodes {
+		to := NodeID(n)
+		d, ok := batch.Dist(from, to)
+		if !ok {
+			continue
+		}
+		reached++
 		if d > 350 {
 			t.Fatalf("node %d at %f exceeds the bound", to, d)
 		}
@@ -261,23 +246,12 @@ func TestShortestDistancesMatchesPointQueries(t *testing.T) {
 			t.Fatalf("tree %f vs point query %f for node %d", d, p.Cost, to)
 		}
 	}
+	if reached < 4 {
+		t.Fatalf("tree too small: %d nodes", reached)
+	}
 	// Nodes beyond the bound are absent.
 	far := nodeAt(t, g, geo.V(500, 500))
-	if _, ok := dists[far]; ok {
+	if _, ok := batch.Dist(from, far); ok {
 		t.Fatal("bound not enforced")
-	}
-}
-
-func TestShortestDistancesInvalid(t *testing.T) {
-	g, err := Build(gridDB(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := g.ShortestDistances(NodeID(-1), nil, 100); d != nil {
-		t.Fatal("invalid node must return nil")
-	}
-	d := g.ShortestDistances(0, nil, 0)
-	if len(d) == 0 {
-		t.Fatal("non-positive bound must mean unbounded")
 	}
 }

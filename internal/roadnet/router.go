@@ -23,13 +23,15 @@ import (
 //     an epoch stamp, so a new search costs one integer increment
 //     instead of fresh map allocations;
 //   - pools the priority queues inside that scratch;
-//   - answers point-to-point queries with bidirectional Dijkstra (or
-//     A* when a heuristic speed is given), touching roughly the square
-//     root of the nodes plain Dijkstra settles;
+//   - answers point-to-point queries with bidirectional Dijkstra,
+//     touching roughly the square root of the nodes plain Dijkstra
+//     settles;
 //   - memoises paths for the canonical weights (DistanceWeight,
-//     TravelTimeWeight) in a sharded LRU cache keyed by
-//     (from, to, weight-kind), with hit/miss counters.
+//     TravelTimeWeight) in a sharded LRU cache of pathCachePaths paths
+//     keyed by (from, to, weight-kind), with hit/miss counters.
 //
+// Each Graph has exactly one Router, returned by Graph.Router, so every
+// stage routing over the graph shares its scratch pools and path cache.
 // A Router is safe for concurrent use. Returned *Path values may be
 // shared between goroutines and must be treated as immutable.
 type Router struct {
@@ -41,47 +43,26 @@ type Router struct {
 	misses  atomic.Uint64
 }
 
-// RouterOptions tunes a Router.
-type RouterOptions struct {
-	// PathCachePaths caps the number of memoised paths across all cache
-	// shards. 0 selects the default (8192); negative disables caching.
-	PathCachePaths int
-}
+// pathCachePaths caps the number of memoised paths across all cache
+// shards.
+const pathCachePaths = 8192
 
-// DefaultPathCachePaths is the default path-cache capacity.
-const DefaultPathCachePaths = 8192
-
-// NewRouter builds a routing engine over g.
-func NewRouter(g *Graph, opt RouterOptions) *Router {
-	capPaths := opt.PathCachePaths
-	if capPaths == 0 {
-		capPaths = DefaultPathCachePaths
-	}
-	r := &Router{g: g}
-	if capPaths > 0 {
-		r.cache = newPathCache(capPaths)
-	}
+// newRouter builds g's routing engine. Use Graph.Router, which builds
+// it once per graph.
+func newRouter(g *Graph) *Router {
+	r := &Router{g: g, cache: newPathCache(pathCachePaths)}
 	r.scratch.New = func() interface{} { return newSearchScratch(len(g.Nodes)) }
 	r.batches.New = func() interface{} { return &DistanceBatch{} }
 	return r
 }
 
-// Graph returns the graph the router routes over.
-func (r *Router) Graph() *Graph { return r.g }
-
 // CacheStats reports the path-cache hit/miss/eviction counters and the
-// current occupancy, total and per shard. The per-shard numbers exist
-// to make RouterOptions.PathCachePaths tuning observable: a full cache
-// shows every shard pinned at its per-shard cap, while a skewed hash
-// would show hot shards evicting with cold shards half-empty.
+// number of paths currently cached.
 type CacheStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
 	Entries   int
-	// ShardEntries is the live entry count of each cache shard (nil when
-	// caching is disabled).
-	ShardEntries []int
 }
 
 // HitRate returns hits/(hits+misses), or 0 before any lookup.
@@ -94,15 +75,12 @@ func (s CacheStats) HitRate() float64 {
 
 // CacheStats returns a snapshot of the path-cache counters.
 func (r *Router) CacheStats() CacheStats {
-	s := CacheStats{Hits: r.hits.Load(), Misses: r.misses.Load()}
-	if r.cache != nil {
-		s.Evictions = r.cache.evictions.Load()
-		s.ShardEntries = r.cache.shardLens()
-		for _, n := range s.ShardEntries {
-			s.Entries += n
-		}
+	return CacheStats{
+		Hits:      r.hits.Load(),
+		Misses:    r.misses.Load(),
+		Evictions: r.cache.evictions.Load(),
+		Entries:   r.cache.len(),
 	}
-	return s
 }
 
 // --- weight classification -------------------------------------------------
@@ -229,73 +207,27 @@ func (r *Router) ShortestPath(from, to NodeID, weight WeightFunc) (*Path, error)
 		return nil, err
 	}
 	weight, kind := classifyWeight(weight)
-	if kind != weightCustom && r.cache != nil {
-		key := pathKey{from: from, to: to, kind: kind}
-		if p, ok := r.cache.get(key); ok {
-			r.hits.Add(1)
-			if p == nil {
-				return nil, ErrNoPath
-			}
-			return p, nil
-		}
-		r.misses.Add(1)
-		p, err := r.bidirectional(from, to, weight)
-		if err != nil && err != ErrNoPath {
-			return nil, err
-		}
-		r.cache.put(key, p) // nil records unreachability
+	if kind == weightCustom {
+		return r.dijkstra(from, to, weight)
+	}
+	key := pathKey{from: from, to: to, kind: kind}
+	if p, ok := r.cache.get(key); ok {
+		r.hits.Add(1)
 		if p == nil {
 			return nil, ErrNoPath
 		}
 		return p, nil
 	}
-	if kind != weightCustom {
-		return r.bidirectional(from, to, weight)
-	}
-	return r.dijkstra(from, to, weight, nil)
-}
-
-// ShortestPathAStar runs A* with an admissible straight-line heuristic:
-// for DistanceWeight semantics use heuristicSpeed <= 1 (metres per cost
-// unit); for TravelTimeWeight pass the network's maximum speed in m/s.
-func (r *Router) ShortestPathAStar(from, to NodeID, weight WeightFunc, heuristicSpeed float64) (*Path, error) {
-	if err := r.checkNodes(from, to); err != nil {
+	r.misses.Add(1)
+	p, err := r.bidirectional(from, to, weight)
+	if err != nil && err != ErrNoPath {
 		return nil, err
 	}
-	if heuristicSpeed <= 0 {
-		heuristicSpeed = 1
+	r.cache.put(key, p) // nil records unreachability
+	if p == nil {
+		return nil, ErrNoPath
 	}
-	weight, _ = classifyWeight(weight)
-	target := r.g.Nodes[to].Pos
-	h := func(n NodeID) float64 {
-		return r.g.Nodes[n].Pos.Dist(target) / heuristicSpeed
-	}
-	return r.dijkstra(from, to, weight, h)
-}
-
-// ShortestDistances runs bounded Dijkstra from one node and returns the
-// cost to every node reachable within maxCost (inclusive) as a map.
-// Kept for compatibility; hot callers should use a DistanceBatch, which
-// avoids the per-call map.
-func (r *Router) ShortestDistances(from NodeID, weight WeightFunc, maxCost float64) map[NodeID]float64 {
-	if int(from) < 0 || int(from) >= len(r.g.Nodes) {
-		return nil
-	}
-	weight, _ = classifyWeight(weight)
-	if maxCost <= 0 {
-		maxCost = math.Inf(1)
-	}
-	s := r.getScratch()
-	epoch := s.next()
-	r.bounded(&s.fwd, epoch, from, weight, maxCost)
-	out := make(map[NodeID]float64, len(s.fwd.touched))
-	for _, n := range s.fwd.touched {
-		if s.fwd.done[n] == epoch && s.fwd.dist[n] <= maxCost {
-			out[n] = s.fwd.dist[n]
-		}
-	}
-	r.putScratch(s)
-	return out
+	return p, nil
 }
 
 func (r *Router) checkNodes(from, to NodeID) error {
@@ -305,13 +237,13 @@ func (r *Router) checkNodes(from, to NodeID) error {
 	return nil
 }
 
-// --- unidirectional Dijkstra / A* ------------------------------------------
+// --- unidirectional Dijkstra -----------------------------------------------
 
 // dijkstra mirrors the historical map-based implementation on dense
 // scratch: identical relaxation and pop order, so results (including
 // tie-breaks and the edge order seen by stateful custom weights) are
 // byte-identical to the pre-Router code.
-func (r *Router) dijkstra(from, to NodeID, weight WeightFunc, h func(NodeID) float64) (*Path, error) {
+func (r *Router) dijkstra(from, to NodeID, weight WeightFunc) (*Path, error) {
 	g := r.g
 	s := r.getScratch()
 	defer r.putScratch(s)
@@ -323,14 +255,7 @@ func (r *Router) dijkstra(from, to NodeID, weight WeightFunc, h func(NodeID) flo
 	b.prevNode[from] = from
 	b.touched = append(b.touched, from)
 
-	push := func(n NodeID, cost float64) {
-		est := cost
-		if h != nil {
-			est += h(n)
-		}
-		heap.Push(&b.pq, pqItem{node: n, cost: est})
-	}
-	push(from, 0)
+	heap.Push(&b.pq, pqItem{node: from, cost: 0})
 
 	for b.pq.Len() > 0 {
 		it := heap.Pop(&b.pq).(pqItem)
@@ -358,7 +283,7 @@ func (r *Router) dijkstra(from, to NodeID, weight WeightFunc, h func(NodeID) flo
 			}
 			v := e.Other(u)
 			if b.relax(epoch, v, du+w, eid, u) {
-				push(v, du+w)
+				heap.Push(&b.pq, pqItem{node: v, cost: du + w})
 			}
 		}
 	}
@@ -777,17 +702,6 @@ func (c *pathCache) len() int {
 		c.shards[i].mu.Unlock()
 	}
 	return n
-}
-
-// shardLens snapshots the live entry count of each shard.
-func (c *pathCache) shardLens() []int {
-	out := make([]int, pathCacheShards)
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		out[i] = len(c.shards[i].entries)
-		c.shards[i].mu.Unlock()
-	}
-	return out
 }
 
 func (s *cacheShard) pushFront(e *cacheEntry) {

@@ -2,7 +2,6 @@ package roadnet
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -20,12 +19,12 @@ func TestBidirectionalMatchesDijkstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, RouterOptions{PathCachePaths: -1}) // no cache: always search
+	r := g.Router()
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		from := NodeID(rng.Intn(len(g.Nodes)))
 		to := NodeID(rng.Intn(len(g.Nodes)))
-		bi, errB := r.ShortestPath(from, to, DistanceWeight)
+		bi, errB := r.bidirectional(from, to, DistanceWeight) // bypass the cache: always search
 		uni, errU := r.ShortestPath(from, to, refWeight)
 		if (errB == nil) != (errU == nil) {
 			t.Fatalf("trial %d (%d->%d): error mismatch %v vs %v", trial, from, to, errB, errU)
@@ -56,8 +55,8 @@ func TestBidirectionalMatchesDijkstra(t *testing.T) {
 }
 
 func TestBidirectionalRespectsOneWay(t *testing.T) {
-	// Same layout as TestShortestPathRespectsOneWay, driven through a
-	// cacheless Router so the bidirectional search itself is exercised:
+	// Same layout as TestShortestPathRespectsOneWay, driven through the
+	// bidirectional kernel directly so the search itself is exercised:
 	// the backward frontier must expand one-way edges in their legal
 	// travel direction only.
 	db := buildDB(t, []digiroad.TrafficElement{
@@ -71,17 +70,17 @@ func TestBidirectionalRespectsOneWay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, RouterOptions{PathCachePaths: -1})
+	r := g.Router()
 	a := nodeAt(t, g, geo.V(0, 0))
 	b := nodeAt(t, g, geo.V(100, 0))
-	pab, err := r.ShortestPath(a, b, DistanceWeight)
+	pab, err := r.bidirectional(a, b, DistanceWeight)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pab.Length < 150 {
 		t.Fatalf("A->B must detour, got length %f", pab.Length)
 	}
-	pba, err := r.ShortestPath(b, a, DistanceWeight)
+	pba, err := r.bidirectional(b, a, DistanceWeight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func TestRouterPathCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, RouterOptions{})
+	r := g.Router()
 	from := nodeAt(t, g, geo.V(100, 100))
 	to := nodeAt(t, g, geo.V(400, 300))
 
@@ -144,7 +143,7 @@ func TestRouterCachesNoPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, RouterOptions{})
+	r := g.Router()
 	from := nodeAt(t, g, geo.V(0, 0))
 	to := nodeAt(t, g, geo.V(1100, 0))
 	for i := 0; i < 2; i++ {
@@ -163,7 +162,8 @@ func TestRouterCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tiny cache: one path per shard.
-	r := NewRouter(g, RouterOptions{PathCachePaths: 16})
+	r := newRouter(g)
+	r.cache = newPathCache(16)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {
 		from := NodeID(rng.Intn(len(g.Nodes)))
@@ -189,7 +189,8 @@ func TestRouterCacheEviction(t *testing.T) {
 	// Per-shard occupancy must sum to the total and respect the
 	// per-shard cap (16 paths over 16 shards = 1 each).
 	sum := 0
-	for i, n := range s.ShardEntries {
+	for i := range r.cache.shards {
+		n := len(r.cache.shards[i].entries)
 		sum += n
 		if n > 1 {
 			t.Fatalf("shard %d holds %d entries, per-shard cap is 1", i, n)
@@ -200,12 +201,16 @@ func TestRouterCacheEviction(t *testing.T) {
 	}
 }
 
+// TestDistanceBatchMatchesShortestDistances checks bounded
+// one-to-many trees against point-to-point queries: a node is in a
+// source's tree exactly when its shortest distance is within the bound,
+// and at that distance.
 func TestDistanceBatchMatchesShortestDistances(t *testing.T) {
 	g, err := Build(gridDB(t, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, RouterOptions{})
+	r := g.Router()
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
 		bound := 150 + rng.Float64()*400
@@ -220,15 +225,29 @@ func TestDistanceBatchMatchesShortestDistances(t *testing.T) {
 			batch.AddSource(s) // idempotent
 		}
 		for _, s := range sources {
-			want := g.ShortestDistances(s, DistanceWeight, bound)
-			got := map[NodeID]float64{}
+			reached := 0
 			for n := range g.Nodes {
-				if d, ok := batch.Dist(s, NodeID(n)); ok {
-					got[NodeID(n)] = d
+				to := NodeID(n)
+				p, err := r.ShortestPath(s, to, DistanceWeight)
+				if err != nil {
+					t.Fatalf("point query %d->%d on a connected grid: %v", s, to, err)
+				}
+				d, ok := batch.Dist(s, to)
+				if ok != (p.Cost <= bound) {
+					t.Fatalf("trial %d %d->%d: in tree = %v, point query cost %f, bound %f", trial, s, to, ok, p.Cost, bound)
+				}
+				if !ok {
+					continue
+				}
+				reached++
+				if !almostEq(d, p.Cost, 1e-9) {
+					t.Fatalf("trial %d %d->%d: tree %f vs point query %f", trial, s, to, d, p.Cost)
 				}
 			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("trial %d source %d: batch %d nodes vs map %d nodes", trial, s, len(got), len(want))
+			// Every grid node has a neighbour 100 m away, and the bound
+			// is at least 150 m.
+			if reached < 2 {
+				t.Fatalf("trial %d source %d: tree too small (%d nodes)", trial, s, reached)
 			}
 		}
 		if _, ok := batch.Dist(NodeID(len(g.Nodes)+5), 0); ok {
@@ -238,12 +257,41 @@ func TestDistanceBatchMatchesShortestDistances(t *testing.T) {
 	}
 }
 
+func TestDistanceBatchInvalid(t *testing.T) {
+	g, err := Build(gridDB(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := g.Router()
+	b := r.NewDistanceBatch(nil, 100)
+	defer b.Release()
+	b.AddSource(NodeID(-1))
+	b.AddSource(NodeID(len(g.Nodes)))
+	if len(b.sources) != 0 {
+		t.Fatalf("out-of-range sources must be ignored, got %v", b.sources)
+	}
+	if _, ok := b.Dist(NodeID(-1), 0); ok {
+		t.Fatal("invalid source must report !ok")
+	}
+
+	unbounded := r.NewDistanceBatch(nil, 0)
+	defer unbounded.Release()
+	unbounded.AddSource(0)
+	for n := range g.Nodes {
+		if _, ok := unbounded.Dist(0, NodeID(n)); !ok {
+			t.Fatalf("non-positive bound must mean unbounded: node %d unreached", n)
+		}
+	}
+}
+
 func TestRouterConcurrentUse(t *testing.T) {
 	g, err := Build(gridDB(t, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, RouterOptions{PathCachePaths: 64})
+	// A small cache, so evictions race with lookups.
+	r := newRouter(g)
+	r.cache = newPathCache(64)
 	const workers = 8
 
 	// Reference answers computed serially first.

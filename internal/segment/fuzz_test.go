@@ -18,7 +18,7 @@ import (
 func FuzzSplit(f *testing.F) {
 	f.Add(int64(1), uint8(20), int64(30_000), false)
 	f.Add(int64(42), uint8(80), int64(200_000), true)
-	f.Add(int64(-3), uint8(5), int64(0), true)   // zero time deltas
+	f.Add(int64(-3), uint8(5), int64(0), true)     // zero time deltas
 	f.Add(int64(7), uint8(12), int64(-5000), true) // time running backwards
 
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, stepMs int64, jitter bool) {

@@ -41,7 +41,7 @@ func lineGraph(t *testing.T) (*roadnet.Graph, *roadnet.Router) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, roadnet.NewRouter(g, roadnet.RouterOptions{})
+	return g, g.Router()
 }
 
 type predictJSON struct {
@@ -117,7 +117,7 @@ func TestPredictEndpointNoPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	api := NewAPI(fixedSource{&sink.Snapshot{Epoch: 1}}, nil).
-		WithPredictor(predict.NewPredictor(g, roadnet.NewRouter(g, roadnet.RouterOptions{})))
+		WithPredictor(predict.NewPredictor(g, g.Router()))
 	rec := get(t, api, "/v1/predict?from=100,0&to=0,0", nil)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unroutable pair: status = %d, want 404", rec.Code)

@@ -28,6 +28,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -315,11 +316,20 @@ func ifNoneMatch(header, etag string) bool {
 	return false
 }
 
+// writeJSON answers with v's JSON encoding. v is encoded in full before
+// anything is written, so a value that cannot be encoded (a NaN or
+// infinite float) answers the 500 error envelope, not a 200 with an
+// empty body.
 func (a *API) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		a.fail(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Write(buf.Bytes())
 }
 
 // errorBody is the uniform error envelope every /v1 endpoint returns:

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -193,6 +194,34 @@ func TestGridEndpointFilters(t *testing.T) {
 	}
 	if rec := get(t, api, "/v1/grid?min-points=-1", nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad min-points: status %d", rec.Code)
+	}
+}
+
+// TestGridUnencodableAnswersError: a snapshot value JSON cannot carry
+// (a NaN cell mean, as a corrupt cluster partial once merged in) must
+// answer the 500 error envelope, not a 200 with an empty body.
+func TestGridUnencodableAnswersError(t *testing.T) {
+	g, err := grid.New(geo.R(0, 0, 2000, 2000), 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &sink.Snapshot{Epoch: 4, Grid: g, Cells: map[grid.CellID]sink.CellStats{
+		{I: 1, J: 1}: {N: 3, MeanKmh: math.NaN(), MinKmh: 20, MaxKmh: 40},
+	}}
+	reg := obs.NewRegistry()
+	rec := get(t, NewAPI(fixedSource{snap}, reg), "/v1/grid", nil)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500; body %q", rec.Code, rec.Body.String())
+	}
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("error body is not the envelope: %v\n%s", err, rec.Body.String())
+	}
+	if body.Error.Code != "internal" || body.Error.Message == "" {
+		t.Fatalf("envelope %+v", body)
+	}
+	if got := reg.Snapshot().Counters["serve_responses_server_error"]; got != 1 {
+		t.Fatalf("serve_responses_server_error = %v, want 1", got)
 	}
 }
 

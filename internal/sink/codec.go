@@ -51,9 +51,10 @@ import (
 //
 // Decoding is strict: a wrong magic or unknown version is a typed
 // error, every length is bounds-checked against the remaining input
-// before any allocation, and embedded histograms go through the obs
-// decoder so a corrupt or cross-layout blob can never silently enter a
-// merge.
+// before any allocation, every float (embedded histogram sums and
+// maxima included) must be finite, and embedded histograms go through
+// the obs decoder so a corrupt or cross-layout blob can never silently
+// enter a merge.
 var snapshotMagic = [8]byte{'T', 'A', 'X', 'I', 'S', 'N', 'P', 'B'}
 
 const (
@@ -75,8 +76,8 @@ const (
 var ErrUnknownSnapshotVersion = errors.New("sink: unknown snapshot format version")
 
 // ErrBadSnapshot marks a snapshot blob that fails structural
-// validation: wrong magic, truncation, oversized lengths, or a corrupt
-// embedded histogram.
+// validation: wrong magic, truncation, oversized lengths, a NaN or
+// infinite float, or a corrupt embedded histogram.
 var ErrBadSnapshot = errors.New("sink: bad snapshot encoding")
 
 // AppendSnapshot appends s's TAXISNPB encoding to dst. The encoding is
@@ -246,6 +247,10 @@ func (d *snapDecoder) f64(what string) float64 {
 		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.fail("non-finite %s %v", what, v)
+		return 0
+	}
 	d.off += 8
 	return v
 }
@@ -293,6 +298,12 @@ func (d *snapDecoder) histogram(what string) *obs.FrozenHistogram {
 	if err != nil {
 		d.fail("%s: %v", what, err)
 		return nil
+	}
+	for _, v := range []float64{h.Sum(), h.Max()} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			d.fail("%s: non-finite sum or max %v", what, v)
+			return nil
+		}
 	}
 	d.off += n
 	return h

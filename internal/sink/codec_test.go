@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/grid"
+	"repro/internal/obs"
 )
 
 // codecFixture builds a realistic sealed snapshot through the real
@@ -146,6 +148,70 @@ func TestSnapshotCodecRejects(t *testing.T) {
 			t.Fatalf("want ErrBadSnapshot, got %v", err)
 		}
 	})
+}
+
+// TestSnapshotCodecRejectsNonFinite: a NaN or infinite float anywhere
+// in a blob is corruption, not data. Accepted, one such cluster partial
+// folds into the merged view and poisons every client's answers (a NaN
+// cell mean makes the whole /v1/grid response unencodable).
+func TestSnapshotCodecRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]func(s *Snapshot){
+		"grid frame": func(s *Snapshot) {
+			g := *s.Grid
+			g.Area.MinX = nan
+			s.Grid = &g
+		},
+		"cell mean": func(s *Snapshot) {
+			id := s.CellIDs()[0]
+			c := s.Cells[id]
+			c.MeanKmh = nan
+			s.Cells[id] = c
+		},
+		"cell max": func(s *Snapshot) {
+			id := s.CellIDs()[0]
+			c := s.Cells[id]
+			c.MaxKmh = inf
+			s.Cells[id] = c
+		},
+		"metric mean": func(s *Snapshot) {
+			dir := s.Directions()[0]
+			od := s.OD[dir]
+			od.FuelMl.Mean = -inf
+			s.OD[dir] = od
+		},
+		"histogram sum and max": func(s *Snapshot) {
+			dir := s.Directions()[0]
+			od := s.OD[dir]
+			h := &obs.Histogram{}
+			h.Observe(30)
+			h.Observe(inf)
+			od.TravelTimeS = h.Freeze()
+			s.OD[dir] = od
+		},
+		"profile var": func(s *Snapshot) {
+			key := EdgeProfileKey{Edge: 3, Hour: 8}
+			ps := s.EdgeProfiles[key]
+			ps.VarSPerKm = nan
+			s.EdgeProfiles[key] = ps
+		},
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			s := codecFixture(t, 0) // seed 0: the cars drive inside the grid
+			s.EdgeProfiles = profileFixture(1).EdgeProfiles
+			if len(s.Cells) == 0 || len(s.OD) == 0 {
+				t.Fatalf("fixture has %d cells, %d directions", len(s.Cells), len(s.OD))
+			}
+			if _, err := DecodeSnapshot(EncodeSnapshot(s)); err != nil {
+				t.Fatalf("clean fixture: %v", err)
+			}
+			corrupt(s)
+			if _, err := DecodeSnapshot(EncodeSnapshot(s)); !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("want ErrBadSnapshot, got %v", err)
+			}
+		})
+	}
 }
 
 // TestSeedFuzzCorpus regenerates the committed seed corpus for

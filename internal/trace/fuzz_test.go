@@ -55,9 +55,9 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("garbage"))
 	f.Add(whole)
-	f.Add(whole[:10])                     // truncated header
-	f.Add(whole[:binaryHeaderLen])        // header only
-	f.Add(whole[:len(whole)-3])           // truncated record body
+	f.Add(whole[:10])                               // truncated header
+	f.Add(whole[:binaryHeaderLen])                  // header only
+	f.Add(whole[:len(whole)-3])                     // truncated record body
 	f.Add(append([]byte("XAXITRCB"), whole[8:]...)) // bad magic
 	badVer := append([]byte(nil), whole...)
 	binary.LittleEndian.PutUint32(badVer[8:12], 2)

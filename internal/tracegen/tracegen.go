@@ -93,17 +93,10 @@ type Generator struct {
 	gateNodes map[string]roadnet.NodeID // outer end node of each gate arterial
 }
 
-// New prepares a generator over the graph's shared routing engine. The
-// graph must have been built from city.DB.
+// New prepares a generator over the graph's routing engine. The graph
+// must have been built from city.DB.
 func New(city *digiroad.City, graph *roadnet.Graph, cfg Config) (*Generator, error) {
-	return NewWithRouter(city, graph.Router(), cfg)
-}
-
-// NewWithRouter prepares a generator over an explicit routing engine,
-// so a pipeline can share one Router across all of its stages.
-func NewWithRouter(city *digiroad.City, rt *roadnet.Router, cfg Config) (*Generator, error) {
-	graph := rt.Graph()
-	g := &Generator{cfg: cfg.withDefaults(), city: city, graph: graph, rt: rt}
+	g := &Generator{cfg: cfg.withDefaults(), city: city, graph: graph, rt: graph.Router()}
 	g.gateNodes = map[string]roadnet.NodeID{}
 	for _, name := range []string{"T", "S", "L"} {
 		gate := city.Gate(name)
