@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"reflect"
@@ -396,4 +397,118 @@ func stageRows(lin *obs.Lineage) map[string]obs.StageSnapshot {
 		}
 	}
 	return rows
+}
+
+// TestFlushIsSequentialFold: a flush round analyses its trips on up
+// to GOMAXPROCS workers but folds them into the ledger and the sink in
+// the order advanceLocked returned them, so every published snapshot
+// is bit-identical to a serial ProcessTrip + AbsorbTransitions over
+// the same trips in that order, and the ledger rows are equal. The
+// rounds close many trips each: the shuffled fixture advances every
+// 2,048 points, and an engine that never advanced flushes all of its
+// trips in the close round.
+func TestFlushIsSequentialFold(t *testing.T) {
+	fx := newDiffFixture(t)
+	shuffled := append([]Point(nil), fx.pts...)
+	ShuffleWindows(shuffled, 32, 20_000, 7)
+	t.Run("every-2048", func(t *testing.T) { fx.checkSequentialFold(t, shuffled, 2048) })
+	t.Run("close-only", func(t *testing.T) { fx.checkSequentialFold(t, shuffled, 0) })
+}
+
+// checkSequentialFold pushes pts into an engine in batches of every
+// points (every <= 0: one batch) and drives its rounds by hand, as
+// Advance and Close do, folding each round's closed trips serially
+// into a reference sink and ledger before the engine flushes them.
+func (fx *diffFixture) checkSequentialFold(t *testing.T, pts []Point, every int) {
+	snk, ref := newDiffSink(t, fx.p), newDiffSink(t, fx.p)
+	lin, refLin := obs.NewLineage(nil), obs.NewLineage(nil)
+	refLedger := core.NewLedger(refLin)
+	e, err := New(Config{
+		Pipeline:        fx.p,
+		Sink:            snk,
+		AllowedLateness: 30 * time.Second,
+		IdleTimeout:     5 * time.Minute,
+		WatermarkEvery:  math.MaxInt, // rounds run only when the test says
+		Lineage:         lin,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	multi := 0 // rounds that closed more than one trip
+	round := func(closing bool) {
+		e.flushMu.Lock()
+		defer e.flushMu.Unlock()
+		e.mu.Lock()
+		e.closing = closing
+		closed := e.advanceLocked()
+		e.mu.Unlock()
+		if len(closed) == 0 {
+			return
+		}
+		if len(closed) > 1 {
+			multi++
+		}
+		absorbed := false
+		for _, ct := range closed {
+			// A failed trip folds what the stages produced, as in flush.
+			cr, _ := fx.p.ProcessTrip(context.Background(),
+				trace.ColTrip{ID: ct.tb.id, CarID: ct.car, Cols: &ct.tb.cols, N: ct.tb.cols.Len()})
+			refLedger.Commit(&cr)
+			if len(cr.Transitions) > 0 {
+				ref.AbsorbTransitions(ct.car, cr.Transitions)
+				absorbed = true
+			}
+		}
+		if absorbed {
+			ref.Publish()
+		}
+		e.flush(closed)
+		sameSnapshotBits(t, snk.Snapshot(), ref.Snapshot())
+	}
+	if every <= 0 {
+		every = len(pts)
+	}
+	for i := 0; i < len(pts); i += every {
+		e.PushBatch(pts[i:min(i+every, len(pts))])
+		if every < len(pts) {
+			round(false)
+		}
+	}
+	round(true)
+	if multi == 0 {
+		t.Fatal("no round closed more than one trip")
+	}
+
+	e.Close() // nothing left to flush: completes every car and seals
+	for _, car := range fx.cars {
+		ref.CarComplete(car)
+	}
+	ref.Seal()
+	sameSnapshotBits(t, snk.Snapshot(), ref.Snapshot())
+	if got, want := stageRows(lin), stageRows(refLin); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ledger rows %+v, serial fold %+v", got, want)
+	}
+}
+
+// sameSnapshotBits fails unless got and want, publish wall times
+// aside, have the same TAXISNPB encoding, which writes every float as
+// its math.Float64bits pattern: equal bytes are bit-identical
+// statistics.
+func sameSnapshotBits(t *testing.T, got, want *sink.Snapshot) {
+	t.Helper()
+	encode := func(s *sink.Snapshot) []byte {
+		c := *s
+		c.PublishedAt = time.Time{}
+		return sink.EncodeSnapshot(&c)
+	}
+	g, w := encode(got), encode(want)
+	if !bytes.Equal(g, w) {
+		at := 0
+		for at < min(len(g), len(w)) && g[at] == w[at] {
+			at++
+		}
+		t.Fatalf("epoch %d (sealed %v) differs from the serial fold's epoch %d at byte %d of %d",
+			got.Epoch, got.Complete, want.Epoch, at, len(w))
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -462,53 +463,116 @@ func (e *Engine) advanceLocked() []closedTrip {
 	return out
 }
 
-// flush runs each closed trip through the pipeline's stage driver
-// (core.Pipeline.ProcessTrip: cleaning → segmentation → OD selection →
-// map-matching → attributes), commits its stats into the engine's
-// ledger, absorbs its transitions into the sink and publishes one new
-// epoch for the round. The caller holds flushMu (never e.mu): stage
-// work here runs concurrently with admission.
+// flush analyses the round's closed trips (analyse), then folds them
+// in closed's order: each trip's stats commit into the engine's
+// ledger and its transitions absorb into the sink, and one new epoch
+// is published for the round. The fold stays sequential, so the sink
+// and the ledger see the same sequence at any core count. The caller
+// holds flushMu (never e.mu): stage work here runs concurrently with
+// admission.
 func (e *Engine) flush(closed []closedTrip) {
 	start := e.cfg.Now()
-	ctx := context.Background()
+	results := e.analyse(closed)
 	absorbed := false
-	for _, ct := range closed {
-		n := ct.tb.cols.Len()
-		cr, err := e.cfg.Pipeline.ProcessTrip(ctx, trace.ColTrip{ID: ct.tb.id, CarID: ct.car, Cols: &ct.tb.cols, N: n})
-		if err != nil && e.cfg.Log != nil {
+	points := 0
+	for i, ct := range closed {
+		cr := &results[i].cr
+		if err := results[i].err; err != nil && e.cfg.Log != nil {
 			e.cfg.Log.Error("ingest: trip analysis failed",
 				slog.Int("car", ct.car), slog.Int64("trip", ct.tb.id), slog.String("error", err.Error()))
 		}
 		// A failed trip still commits and absorbs what the stages
 		// produced before the failure.
-		e.ledger.Commit(&cr)
+		e.ledger.Commit(cr)
 		if e.cfg.Sink != nil && len(cr.Transitions) > 0 {
 			e.cfg.Sink.AbsorbTransitions(ct.car, cr.Transitions)
 			absorbed = true
 		}
-
-		nowNs := e.cfg.Now().UnixNano()
-		for _, r := range ct.tb.recvNs {
-			e.met.latency.Observe(float64(nowNs-r) / 1e9)
-		}
-
-		e.mu.Lock()
-		e.closedTrips++
-		e.mu.Unlock()
-		e.met.tripsClosed.Inc()
-		e.met.openTrips.Add(-1)
-		e.met.bufPoints.Add(-int64(n))
+		points += ct.tb.cols.Len()
 	}
-	if absorbed && e.cfg.Sink != nil {
+	e.mu.Lock()
+	e.closedTrips += uint64(len(closed))
+	e.mu.Unlock()
+	e.met.tripsClosed.Add(uint64(len(closed)))
+	e.met.openTrips.Add(-int64(len(closed)))
+	e.met.bufPoints.Add(-int64(points))
+	if absorbed {
 		e.cfg.Sink.Publish()
 	}
+
+	// Every point of the round became queryable with that publish.
+	end := e.cfg.Now()
+	for _, ct := range closed {
+		for _, r := range ct.tb.recvNs {
+			e.met.latency.Observe(float64(end.UnixNano()-r) / 1e9)
+		}
+	}
 	e.met.flushes.Inc()
-	e.met.flushTime.Observe(e.cfg.Now().Sub(start).Seconds())
+	e.met.flushTime.Observe(end.Sub(start).Seconds())
 	if e.cfg.Log != nil {
 		e.cfg.Log.Debug("ingest: flush round",
 			slog.Int("trips", len(closed)),
 			slog.Int64("watermark_ms", e.wm.Load()))
 	}
+}
+
+// tripResult is one closed trip's stage-driver output.
+type tripResult struct {
+	cr  core.CarResult
+	err error
+}
+
+// analyse runs each closed trip through the pipeline's stage driver
+// (core.Pipeline.ProcessTrip: cleaning → segmentation → OD selection →
+// map-matching → attributes) and returns the results indexed like
+// closed. A round of several trips spreads them over
+// min(GOMAXPROCS, len(closed)) workers, the caller included, each
+// claiming the next trip in closed's order. A trip's analysis reads
+// only its own buffer and the pipeline's concurrency-safe stages, so
+// each result is the same whichever worker computes it. A panic in a
+// helper is raised again on the caller, as it would be serially.
+func (e *Engine) analyse(closed []closedTrip) []tripResult {
+	res := make([]tripResult, len(closed))
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(closed) {
+				return
+			}
+			ct := closed[i]
+			trip := trace.ColTrip{ID: ct.tb.id, CarID: ct.car, Cols: &ct.tb.cols, N: ct.tb.cols.Len()}
+			res[i].cr, res[i].err = e.cfg.Pipeline.ProcessTrip(context.Background(), trip)
+		}
+	}
+
+	helpers := min(runtime.GOMAXPROCS(0), len(closed)) - 1
+	var running atomic.Int64
+	var panicked atomic.Pointer[any]
+	running.Store(int64(helpers))
+	for range helpers {
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					panicked.CompareAndSwap(nil, &p)
+				}
+				running.Add(-1)
+			}()
+			work()
+		}()
+	}
+	work()
+	// Yield rather than park until the helpers are done: the runtime
+	// readies a parked goroutine on the P of the goroutine that wakes
+	// it, so a caller blocked in a WaitGroup would leave its warm core
+	// for the last helper's, and the rest of the round would run cold.
+	for running.Load() > 0 {
+		runtime.Gosched()
+	}
+	if p := panicked.Load(); p != nil {
+		panic(*p)
+	}
+	return res
 }
 
 // Close ends the stream: the watermark jumps to +infinity, every
@@ -549,7 +613,8 @@ func (e *Engine) Watermark() int64 { return e.wm.Load() }
 
 // VisibleLatencyQuantile returns the q-quantile (0..1) of the
 // ingest-to-visible latency distribution in seconds — the time from a
-// point's admission to the flush that made its trip queryable.
+// point's admission to the end of the flush round, after its publish,
+// that made its trip queryable.
 func (e *Engine) VisibleLatencyQuantile(q float64) float64 {
 	return e.met.latency.Quantile(q)
 }

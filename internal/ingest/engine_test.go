@@ -1,13 +1,16 @@
 package ingest
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
+	"repro/internal/runner"
 	"repro/internal/tracegen"
 )
 
@@ -317,6 +320,84 @@ func TestConcurrentPush(t *testing.T) {
 	if err := lin.Check(); err != nil {
 		t.Fatalf("lineage conservation violated: %v", err)
 	}
+}
+
+// TestVisibleLatencyStampedPerRound: every point of a flush round
+// becomes queryable with the round's one publish, so trips pushed
+// together and closed in one round report equal ingest-to-visible
+// latency, however long each trip's analysis took. The clock steps
+// one second per reading.
+func TestVisibleLatencyStampedPerRound(t *testing.T) {
+	var ticks atomic.Int64
+	reg := obs.NewRegistry()
+	e := newTestEngine(t, Config{
+		AllowedLateness: 5 * time.Second,
+		WatermarkEvery:  1 << 20,
+		Metrics:         reg,
+		Now:             func() time.Time { return time.Unix(ticks.Add(1), 0) },
+	})
+	p := testPipeline(t)
+
+	var pts []Point
+	for car := 1; car <= 2; car++ {
+		for i := int64(1); i <= 10; i++ {
+			pts = append(pts, syntheticPoint(p, car, int64(car), int(i), i))
+		}
+	}
+	e.PushBatch(pts)
+	e.Close()
+
+	if st := e.Stats(); st.ClosedTrips != 2 {
+		t.Fatalf("closed trips = %d, want both in the close round", st.ClosedTrips)
+	}
+	h := reg.Histogram("ingest_visible_latency_seconds")
+	if h.Count() != uint64(len(pts)) {
+		t.Fatalf("latency observations = %d, want %d", h.Count(), len(pts))
+	}
+	if sum, top := h.Sum(), h.Max(); top <= 0 || sum != top*float64(len(pts)) {
+		t.Fatalf("latency sum %g over %d points with max %g: the round's points were stamped at different times",
+			sum, len(pts), top)
+	}
+}
+
+// TestFlushPanicReachesCaller: a stage that panics while a helper
+// goroutine analyses a trip panics the Close (or Advance) that ran the
+// round, as a serial flush would, instead of killing the process.
+// With helpers, car 1's trip holds its worker until car 2's has
+// panicked, so when the caller claims the first trip, as it usually
+// does, it waits while a helper panics.
+func TestFlushPanicReachesCaller(t *testing.T) {
+	p := testPipeline(t)
+	poisoned := make(chan struct{})
+	var once sync.Once
+	p.Config.Faults = runner.FaultFunc(func(car int, stage string) error {
+		switch {
+		case stage != "clean":
+		case car == 1 && runtime.GOMAXPROCS(0) > 1:
+			<-poisoned
+		case car == 2:
+			once.Do(func() { close(poisoned) })
+			panic("poisoned trip")
+		}
+		return nil
+	})
+	t.Cleanup(func() { p.Config.Faults = nil })
+	e := newTestEngine(t, Config{AllowedLateness: 5 * time.Second, WatermarkEvery: 1 << 20})
+
+	var pts []Point
+	for car := 1; car <= 2; car++ {
+		for i := int64(1); i <= 10; i++ {
+			pts = append(pts, syntheticPoint(p, car, int64(car), int(i), i))
+		}
+	}
+	e.PushBatch(pts)
+	defer func() {
+		if r := recover(); r != "poisoned trip" {
+			t.Fatalf("Close recovered %v, want the stage's panic", r)
+		}
+	}()
+	e.Close()
+	t.Fatal("Close returned without the stage's panic")
 }
 
 // TestAdmissionFilters checks the online non-finite and out-of-area

@@ -109,18 +109,46 @@ type pqItem struct {
 	cost float64
 }
 
+// priorityQueue is a binary min-heap on cost. push and pop move items
+// exactly as container/heap's Push and Pop (its up and down), so pop
+// order, and with it every routing tie-break, is the same; being typed,
+// they box no item into an interface.
 type priorityQueue []pqItem
 
-func (pq priorityQueue) Len() int            { return len(pq) }
-func (pq priorityQueue) Less(i, j int) bool  { return pq[i].cost < pq[j].cost }
-func (pq priorityQueue) Swap(i, j int)       { pq[i], pq[j] = pq[j], pq[i] }
-func (pq *priorityQueue) Push(x interface{}) { *pq = append(*pq, x.(pqItem)) }
-func (pq *priorityQueue) Pop() interface{} {
-	old := *pq
-	n := len(old)
-	it := old[n-1]
-	*pq = old[:n-1]
-	return it
+func (pq *priorityQueue) push(it pqItem) {
+	h := append(*pq, it)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !(h[j].cost < h[i].cost) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*pq = h
+}
+
+func (pq *priorityQueue) pop() pqItem {
+	h := *pq
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].cost < h[j].cost {
+			j = r
+		}
+		if !(h[j].cost < h[i].cost) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*pq = h[:n]
+	return h[n]
 }
 
 // Router returns the graph's routing engine, built on first use. It is

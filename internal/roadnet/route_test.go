@@ -1,7 +1,10 @@
 package roadnet
 
 import (
+	"container/heap"
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/digiroad"
@@ -253,5 +256,44 @@ func TestShortestDistancesMatchesPointQueries(t *testing.T) {
 	far := nodeAt(t, g, geo.V(500, 500))
 	if _, ok := batch.Dist(from, far); ok {
 		t.Fatal("bound not enforced")
+	}
+}
+
+// refQueue is priorityQueue driven through container/heap, the
+// reference the typed push and pop must match move for move.
+type refQueue []pqItem
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return q[i].cost < q[j].cost }
+func (q refQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)        { *q = append(*q, x.(pqItem)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+// TestPriorityQueueMatchesContainerHeap: interleaved pushes and pops
+// with many equal costs pop the same items in the same order as
+// container/heap, so equal-cost ties, and the routes they choose,
+// resolve as before.
+func TestPriorityQueueMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var pq priorityQueue
+	var ref refQueue
+	for op := 0; op < 20_000; op++ {
+		if len(pq) == 0 || rng.Intn(5) < 3 {
+			it := pqItem{node: NodeID(op), cost: float64(rng.Intn(16))}
+			pq.push(it)
+			heap.Push(&ref, it)
+			continue
+		}
+		if got, want := pq.pop(), heap.Pop(&ref).(pqItem); got != want {
+			t.Fatalf("op %d: popped %+v, container/heap pops %+v", op, got, want)
+		}
+	}
+	if !reflect.DeepEqual([]pqItem(pq), []pqItem(ref)) {
+		t.Fatal("heap layouts diverged")
 	}
 }

@@ -1,7 +1,6 @@
 package roadnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"reflect"
@@ -255,10 +254,10 @@ func (r *Router) dijkstra(from, to NodeID, weight WeightFunc) (*Path, error) {
 	b.prevNode[from] = from
 	b.touched = append(b.touched, from)
 
-	heap.Push(&b.pq, pqItem{node: from, cost: 0})
+	b.pq.push(pqItem{node: from, cost: 0})
 
-	for b.pq.Len() > 0 {
-		it := heap.Pop(&b.pq).(pqItem)
+	for len(b.pq) > 0 {
+		it := b.pq.pop()
 		u := it.node
 		if b.done[u] == epoch {
 			continue
@@ -283,7 +282,7 @@ func (r *Router) dijkstra(from, to NodeID, weight WeightFunc) (*Path, error) {
 			}
 			v := e.Other(u)
 			if b.relax(epoch, v, du+w, eid, u) {
-				heap.Push(&b.pq, pqItem{node: v, cost: du + w})
+				b.pq.push(pqItem{node: v, cost: du + w})
 			}
 		}
 	}
@@ -346,13 +345,13 @@ func (r *Router) bidirectional(from, to NodeID, weight WeightFunc) (*Path, error
 	f.dist[from] = 0
 	f.prevNode[from] = from
 	f.touched = append(f.touched, from)
-	heap.Push(&f.pq, pqItem{node: from, cost: 0})
+	f.pq.push(pqItem{node: from, cost: 0})
 
 	bk.seen[to] = epoch
 	bk.dist[to] = 0
 	bk.prevNode[to] = to
 	bk.touched = append(bk.touched, to)
-	heap.Push(&bk.pq, pqItem{node: to, cost: 0})
+	bk.pq.push(pqItem{node: to, cost: 0})
 
 	best := math.Inf(1)
 	meet := NodeID(-1)
@@ -370,7 +369,7 @@ func (r *Router) bidirectional(from, to NodeID, weight WeightFunc) (*Path, error
 	// expand settles the top of one bank's queue. dir=true expands the
 	// forward search.
 	expand := func(b *scratchBank, forwardSearch bool) {
-		it := heap.Pop(&b.pq).(pqItem)
+		it := b.pq.pop()
 		u := it.node
 		if b.done[u] == epoch {
 			return
@@ -400,18 +399,18 @@ func (r *Router) bidirectional(from, to NodeID, weight WeightFunc) (*Path, error
 				continue
 			}
 			if b.relax(epoch, v, du+w, eid, u) {
-				heap.Push(&b.pq, pqItem{node: v, cost: du + w})
+				b.pq.push(pqItem{node: v, cost: du + w})
 				consider(v)
 			}
 		}
 	}
 
-	for f.pq.Len() > 0 || bk.pq.Len() > 0 {
+	for len(f.pq) > 0 || len(bk.pq) > 0 {
 		topF, topB := math.Inf(1), math.Inf(1)
-		if f.pq.Len() > 0 {
+		if len(f.pq) > 0 {
 			topF = f.pq[0].cost
 		}
-		if bk.pq.Len() > 0 {
+		if len(bk.pq) > 0 {
 			topB = bk.pq[0].cost
 		}
 		if topF+topB >= best {
@@ -470,9 +469,9 @@ func (r *Router) bounded(b *scratchBank, epoch uint32, from NodeID, weight Weigh
 	b.dist[from] = 0
 	b.prevNode[from] = from
 	b.touched = append(b.touched, from)
-	heap.Push(&b.pq, pqItem{node: from, cost: 0})
-	for b.pq.Len() > 0 {
-		it := heap.Pop(&b.pq).(pqItem)
+	b.pq.push(pqItem{node: from, cost: 0})
+	for len(b.pq) > 0 {
+		it := b.pq.pop()
 		u := it.node
 		if b.done[u] == epoch {
 			continue
@@ -498,7 +497,7 @@ func (r *Router) bounded(b *scratchBank, epoch uint32, from NodeID, weight Weigh
 			if nd := du + w; nd <= maxCost {
 				v := e.Other(u)
 				if b.relax(epoch, v, nd, eid, u) {
-					heap.Push(&b.pq, pqItem{node: v, cost: nd})
+					b.pq.push(pqItem{node: v, cost: nd})
 				}
 			}
 		}

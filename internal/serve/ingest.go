@@ -54,7 +54,8 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request, e *ingest.Eng
 	br := bufio.NewReaderSize(r.Body, 1<<16)
 	head, _ := br.Peek(8)
 
-	var total ingestResponse
+	// A body that pushes nothing still reports the current watermark.
+	total := ingestResponse{WatermarkMs: e.Watermark()}
 	push := func(batch []ingest.Point) {
 		res := e.PushBatch(batch)
 		total.Received += res.Received

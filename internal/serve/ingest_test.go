@@ -185,6 +185,35 @@ func TestIngestCloseTwice(t *testing.T) {
 	}
 }
 
+// TestIngestEmptyBodyReportsWatermark: a body that carries no points
+// admits nothing and answers the engine's current watermark, not 0.
+func TestIngestEmptyBodyReportsWatermark(t *testing.T) {
+	e, api := newIngestAPI(t)
+	var buf bytes.Buffer
+	if err := ingest.WriteNDJSON(&buf, firehosePoints(ingestPipeline(t), 20)); err != nil {
+		t.Fatal(err)
+	}
+	if rec := post(t, api, "/v1/ingest", "application/x-ndjson", &buf, nil); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d body %s", rec.Code, rec.Body.String())
+	}
+	want := int64((20 - 5) * 1000)
+	if wm := e.Watermark(); wm != want {
+		t.Fatalf("engine watermark = %d, want %d", wm, want)
+	}
+
+	var resp struct {
+		Received    int   `json:"received"`
+		WatermarkMs int64 `json:"watermark_ms"`
+	}
+	rec := post(t, api, "/v1/ingest", "application/x-ndjson", strings.NewReader(""), &resp)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("empty body: status %d body %s", rec.Code, rec.Body.String())
+	}
+	if resp.Received != 0 || resp.WatermarkMs != want {
+		t.Fatalf("empty body answered %+v, want 0 received at watermark %d", resp, want)
+	}
+}
+
 // TestIngestBinary posts the same stream in the TAXIPNTB framing; the
 // handler must sniff it without a content-type hint.
 func TestIngestBinary(t *testing.T) {
