@@ -76,8 +76,9 @@ race:
 # The first line fails on any tracked Go file gofmt would change (listing
 # through git keeps build products such as .bench_build/ out). The last
 # line reruns the cross-mode gates (cluster = single node, streamed =
-# batch) and the ingest flush's parallel-analysis, ordered-fold gate at
-# several core counts: an answer that depends on GOMAXPROCS fails there.
+# batch), the ingest flush's parallel-analysis, ordered-fold gate and
+# its round hand-off gate at several core counts: an answer that
+# depends on GOMAXPROCS fails there.
 ci:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -85,7 +86,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -cpu 1,2,4 -run 'MatchesSingleNode|MatchesBatch|FlushIsSequentialFold' ./internal/cluster ./internal/ingest ./internal/sink
+	$(GO) test -cpu 1,2,4 -run 'MatchesSingleNode|MatchesBatch|FlushIsSequentialFold|PushOverlapsRunningRound' ./internal/cluster ./internal/ingest ./internal/sink
 
 # Fuzz smoke: run every native fuzz target for FUZZTIME each. Go allows
 # one -fuzz pattern per package invocation, so iterate explicitly. The

@@ -437,8 +437,8 @@ func (fx *diffFixture) checkSequentialFold(t *testing.T, pts []Point, every int)
 
 	multi := 0 // rounds that closed more than one trip
 	round := func(closing bool) {
-		e.flushMu.Lock()
-		defer e.flushMu.Unlock()
+		e.stepMu.Lock()
+		defer e.stepMu.Unlock()
 		e.mu.Lock()
 		e.closing = closing
 		closed := e.advanceLocked()

@@ -27,8 +27,11 @@ type Config struct {
 	Pipeline *core.Pipeline
 	// Sink receives flushed transitions; trips close into it and a new
 	// epoch is published after every flush round, so live snapshots
-	// advance as the watermark does. Nil runs the engine without a
-	// serving layer (the differential tests read Stats instead).
+	// advance as the watermark does. A round flushes on a goroutine of
+	// its own: a push returns once its round has started, and Advance
+	// and Close return once it has published. Nil runs the engine
+	// without a serving layer (the differential tests read Stats
+	// instead).
 	Sink *sink.Sink
 	// AllowedLateness is how far behind a car's newest event time a
 	// point may arrive before it is dropped as late; it bounds the
@@ -40,7 +43,8 @@ type Config struct {
 	// 10 minutes.
 	IdleTimeout time.Duration
 	// WatermarkEvery recomputes the watermark (and flushes newly
-	// closeable trips) every N admitted points. Default 256.
+	// closeable trips) every N received points, dropped ones included.
+	// Default 256.
 	WatermarkEvery int
 	// Metrics receives ingest_* instrumentation; nil disables.
 	Metrics *obs.Registry
@@ -80,7 +84,7 @@ func (c Config) withDefaults() (Config, error) {
 const unsetWatermark = math.MinInt64
 
 // Engine is the event-time ingestion state machine. Construct with
-// New; Push/PushBatch are safe for concurrent use.
+// New; Push, PushBatch, Advance and Close are safe for concurrent use.
 type Engine struct {
 	cfg  Config
 	proj *geo.Projection
@@ -111,9 +115,14 @@ type Engine struct {
 	ledger *core.Ledger // clean → mapmatch rows, one commit per flushed trip
 	met    engineMetrics
 
-	// flushMu serialises flush rounds so two concurrent watermark
-	// advances cannot interleave their sink publishes.
-	flushMu sync.Mutex
+	// stepMu orders watermark steps and their hand-offs: a step, its
+	// wait for the running round and the start of its own round happen
+	// under it, so rounds start, fold and publish in step order. A round
+	// never takes it, and it is never acquired while mu is held.
+	stepMu sync.Mutex
+	// running is the round the last hand-off started, until a caller
+	// has waited for it; guarded by stepMu.
+	running *round
 	// closeOnce makes Close idempotent: every car is completed in the
 	// sink exactly once, and a concurrent second caller returns only
 	// after the first has sealed.
@@ -184,6 +193,7 @@ type engineMetrics struct {
 	bufPoints   *obs.Gauge
 	latency     *obs.Histogram
 	flushTime   *obs.Histogram
+	handoffWait *obs.Histogram
 }
 
 // New builds an engine over the pipeline's stages.
@@ -212,6 +222,7 @@ func New(cfg Config) (*Engine, error) {
 			bufPoints:   reg.Gauge("ingest_buffered_points"),
 			latency:     reg.Histogram("ingest_visible_latency_seconds"),
 			flushTime:   reg.Histogram("ingest_flush_seconds"),
+			handoffWait: reg.Histogram("ingest_handoff_wait_seconds"),
 		},
 	}
 	e.wm.Store(unsetWatermark)
@@ -234,8 +245,13 @@ func (e *Engine) Push(p Point) PushResult {
 	return e.PushBatch([]Point{p})
 }
 
-// PushBatch admits a batch of events, then advances the watermark (and
-// flushes newly closed trips) if the recomputation cadence is due.
+// PushBatch admits a batch of events, then steps the watermark if the
+// recomputation cadence is due. The trips a step closes flush in a
+// round on a goroutine of its own, so PushBatch returns once that
+// round has started, not once it has published; the producer admits
+// its next batch while the round runs. A step that closes trips while
+// the previous round still runs waits for it first: that wait is the
+// engine's backpressure.
 func (e *Engine) PushBatch(pts []Point) PushResult {
 	res := PushResult{Received: len(pts)}
 	now := e.cfg.Now().UnixNano()
@@ -262,7 +278,9 @@ func (e *Engine) PushBatch(pts []Point) PushResult {
 	e.met.received.Add(uint64(res.Received))
 	e.met.admitted.Add(uint64(res.Admitted))
 	if due {
-		e.Advance()
+		e.stepMu.Lock()
+		defer e.stepMu.Unlock()
+		e.step()
 	}
 	res.WatermarkMs = e.wm.Load()
 	return res
@@ -360,26 +378,89 @@ type closedTrip struct {
 	tb  *tripBuf
 }
 
-// Advance recomputes the low watermark and flushes every trip it
-// closes. Push calls it on the recomputation cadence; owners may also
-// call it directly (e.g. on a wall-clock tick for slow streams).
-func (e *Engine) Advance() {
-	e.flushMu.Lock()
-	defer e.flushMu.Unlock()
+// round is one watermark round's flush, running on its own goroutine.
+type round struct {
+	done     chan struct{} // closed once the round has published or panicked
+	panicked any           // the stage panic the round recovered; read after done
+}
 
+// Advance recomputes the low watermark, hands the trips it closes to a
+// new round and returns once the running round has published. Push
+// steps on the recomputation cadence without that wait; owners may
+// call Advance directly (e.g. on a wall-clock tick for slow streams)
+// and use it as a synchronisation point: every trip closed before it
+// returns has been folded into the ledger and the sink.
+func (e *Engine) Advance() {
+	e.stepMu.Lock()
+	defer e.stepMu.Unlock()
+	e.step()
+	e.wait()
+}
+
+// step recomputes the watermark and hands the trips it closes to a new
+// round. The caller holds stepMu.
+func (e *Engine) step() {
 	e.mu.Lock()
 	closed := e.advanceLocked()
 	e.mu.Unlock()
+	e.handOff(closed)
+}
 
-	if len(closed) > 0 {
+// handOff starts the round that flushes closed. One round runs at a
+// time and none waits in a queue: if the previous round is still
+// running, handOff waits for it first and records the wait in
+// ingest_handoff_wait_seconds. A queue would only let trips closed
+// since then wait unpublished behind it, and hold their buffers. If the
+// previous round panicked, handOff raises that panic once its own round
+// has started, so none of the trips this step closed is lost. The
+// caller holds stepMu.
+func (e *Engine) handOff(closed []closedTrip) {
+	if len(closed) == 0 {
+		return
+	}
+	var prev any
+	if r := e.running; r != nil {
+		select {
+		case <-r.done:
+		default:
+			start := e.cfg.Now()
+			<-r.done
+			e.met.handoffWait.Observe(e.cfg.Now().Sub(start).Seconds())
+		}
+		prev = r.panicked
+	}
+	r := &round{done: make(chan struct{})}
+	e.running = r
+	go func() {
+		defer close(r.done)
+		defer func() { r.panicked = recover() }()
 		e.flush(closed)
+	}()
+	if prev != nil {
+		panic(prev)
+	}
+}
+
+// wait returns once the running round, if any, has published, and
+// raises the panic it recovered. The caller holds stepMu.
+func (e *Engine) wait() {
+	r := e.running
+	if r == nil {
+		return
+	}
+	e.running = nil
+	<-r.done
+	if r.panicked != nil {
+		panic(r.panicked)
 	}
 }
 
 // advanceLocked recomputes the watermark from the active cars' maxima,
-// extracts every newly closeable trip, marks it closed and drops cars
-// left without an open trip from the active set; the caller holds e.mu
-// and processes the returned trips outside it.
+// extracts every newly closeable trip, marks it closed, counts it out
+// of the open set (Stats and the ingest_trips_closed, ingest_open_trips
+// and ingest_buffered_points signals) and drops cars left without an
+// open trip from the active set; the caller holds e.mu and hands the
+// returned trips to a round outside it.
 func (e *Engine) advanceLocked() []closedTrip {
 	if !e.seenPoints {
 		return nil
@@ -417,6 +498,7 @@ func (e *Engine) advanceLocked() []closedTrip {
 	}
 
 	var out []closedTrip
+	points := 0
 	active := e.active[:0]
 	for _, cs := range e.active {
 		idle := e.closing || e.globalMaxMs-cs.maxMs > idleMs
@@ -441,6 +523,7 @@ func (e *Engine) advanceLocked() []closedTrip {
 			if wm > bound {
 				cs.closed[tb.id] = struct{}{}
 				out = append(out, closedTrip{car: cs.car, tb: tb})
+				points += tb.cols.Len()
 			} else {
 				open = append(open, tb)
 			}
@@ -453,6 +536,10 @@ func (e *Engine) advanceLocked() []closedTrip {
 	}
 	clear(e.active[len(active):])
 	e.active = active
+	e.closedTrips += uint64(len(out))
+	e.met.tripsClosed.Add(uint64(len(out)))
+	e.met.openTrips.Add(-int64(len(out)))
+	e.met.bufPoints.Add(-int64(points))
 	// Deterministic flush order (the active set is in arrival order).
 	slices.SortFunc(out, func(a, b closedTrip) int {
 		if c := cmp.Compare(a.car, b.car); c != 0 {
@@ -463,18 +550,17 @@ func (e *Engine) advanceLocked() []closedTrip {
 	return out
 }
 
-// flush analyses the round's closed trips (analyse), then folds them
-// in closed's order: each trip's stats commit into the engine's
-// ledger and its transitions absorb into the sink, and one new epoch
-// is published for the round. The fold stays sequential, so the sink
-// and the ledger see the same sequence at any core count. The caller
-// holds flushMu (never e.mu): stage work here runs concurrently with
-// admission.
+// flush is a round's body: it analyses the round's closed trips
+// (analyse), then folds them in closed's order: each trip's stats
+// commit into the engine's ledger and its transitions absorb into the
+// sink, and one new epoch is published for the round. The fold stays
+// sequential and rounds run one at a time in step order (handOff), so
+// the sink and the ledger see the same sequence at any core count.
+// It runs without e.mu, concurrently with admission.
 func (e *Engine) flush(closed []closedTrip) {
 	start := e.cfg.Now()
 	results := e.analyse(closed)
 	absorbed := false
-	points := 0
 	for i, ct := range closed {
 		cr := &results[i].cr
 		if err := results[i].err; err != nil && e.cfg.Log != nil {
@@ -488,14 +574,7 @@ func (e *Engine) flush(closed []closedTrip) {
 			e.cfg.Sink.AbsorbTransitions(ct.car, cr.Transitions)
 			absorbed = true
 		}
-		points += ct.tb.cols.Len()
 	}
-	e.mu.Lock()
-	e.closedTrips += uint64(len(closed))
-	e.mu.Unlock()
-	e.met.tripsClosed.Add(uint64(len(closed)))
-	e.met.openTrips.Add(-int64(len(closed)))
-	e.met.bufPoints.Add(-int64(points))
 	if absorbed {
 		e.cfg.Sink.Publish()
 	}
@@ -577,13 +656,16 @@ func (e *Engine) analyse(closed []closedTrip) []tripResult {
 
 // Close ends the stream: the watermark jumps to +infinity, every
 // buffered trip flushes, each car is completed in the sink, and the
-// sink (when attached) seals its final snapshot. Points pushed after
-// Close are dropped as late. Only the first call does the work; later
-// calls return once it is done.
+// sink (when attached) seals its final snapshot. Close returns once
+// the last round has published and the sink is sealed. Points pushed
+// after Close are dropped as stale (late, or idle_resumed for a car
+// resuming past everything it sent) and start no round. Only the
+// first call does the work; later calls return once it is done.
 func (e *Engine) Close() { e.closeOnce.Do(e.close) }
 
 func (e *Engine) close() {
-	e.flushMu.Lock()
+	e.stepMu.Lock()
+	defer e.stepMu.Unlock()
 	e.mu.Lock()
 	e.closing = true
 	closed := e.advanceLocked()
@@ -593,11 +675,8 @@ func (e *Engine) close() {
 	}
 	slices.Sort(carIDs)
 	e.mu.Unlock()
-
-	if len(closed) > 0 {
-		e.flush(closed)
-	}
-	e.flushMu.Unlock()
+	e.handOff(closed)
+	e.wait()
 
 	if e.cfg.Sink != nil {
 		for _, car := range carIDs {
@@ -621,9 +700,11 @@ func (e *Engine) VisibleLatencyQuantile(q float64) float64 {
 
 // Stats is a point-in-time engine summary.
 type Stats struct {
-	Received       uint64
-	Admitted       uint64
-	Dropped        map[obs.DropReason]uint64
+	Received uint64
+	Admitted uint64
+	Dropped  map[obs.DropReason]uint64
+	// ClosedTrips counts the trips watermark steps have closed, the
+	// running round's included.
 	ClosedTrips    uint64
 	OpenTrips      int
 	BufferedPoints int // admitted points of the open trips

@@ -277,6 +277,7 @@ func TestIdleResumedCarDistinctReason(t *testing.T) {
 	if reasons[string(obs.DropIdleResumed)] != 2 || reasons[string(obs.DropLate)] != 2 {
 		t.Fatalf("ledger reasons = %+v, want 2 idle_resumed and 2 late", reasons)
 	}
+	e.Advance() // wait for the idle flush's round: the ledger conserves between rounds
 	if err := lin.Check(); err != nil {
 		t.Fatalf("lineage conservation violated: %v", err)
 	}

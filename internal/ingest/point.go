@@ -31,6 +31,15 @@
 // trip; the watermark step, the close scan and Stats walk that set,
 // so their cost follows the active fleet rather than every car the
 // stream has seen. Each car remembers the ids of its closed trips.
+//
+// Flush model: a watermark step runs on the caller's goroutine and
+// decides the watermark, which trips close and every drop reason; the
+// trips it closes flush in a round (the stages, one ordered fold into
+// the ledger and the sink, one publish) on a goroutine of its own. One
+// round runs at a time and rounds publish in step order, so a push
+// returns once its round has started, and a step that closes trips
+// while the previous round runs waits for it first. Advance and Close
+// return once the running round has published.
 package ingest
 
 import (
