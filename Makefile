@@ -16,7 +16,9 @@ help:
 	@echo "           shared Router: pooled scratch, sharded path cache and"
 	@echo "           parallel per-car workers all run under the race detector)"
 	@echo "  ci       the full gate CI runs: gofmt check + build + vet +"
-	@echo "           test + race, then the cross-mode gates at -cpu 1,2,4"
+	@echo "           test + race, the cross-mode gates at -cpu 1,2,4, then"
+	@echo "           build + vet of the perfbench/ module, which ./..."
+	@echo "           skips"
 	@echo "  fuzz     run every native fuzz target for FUZZTIME (default 30s)"
 	@echo "           each; seed corpora live in testdata/fuzz/"
 	@echo "  bench    run every benchmark with -benchmem"
@@ -72,13 +74,19 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
+# perfbench/ is a module of its own, so ./... never compiles it; these
+# are perfbench/run.sh's offline module settings.
+PERFBENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
+
 # The full gate: what .github/workflows/ci.yml runs on every push/PR.
 # The first line fails on any tracked Go file gofmt would change (listing
-# through git keeps build products such as .bench_build/ out). The last
-# line reruns the cross-mode gates (cluster = single node, streamed =
-# batch), the ingest flush's parallel-analysis, ordered-fold gate and
+# through git keeps build products such as .bench_build/ out). The
+# -cpu line reruns the cross-mode gates (cluster = single node, streamed
+# = batch), the ingest flush's parallel-analysis, ordered-fold gate and
 # its round hand-off gate at several core counts: an answer that
-# depends on GOMAXPROCS fails there.
+# depends on GOMAXPROCS fails there. The last two lines build and vet
+# the benchmark against this checkout, so a change to a name it uses
+# fails here rather than when the benchmark runs; they write no files.
 ci:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -87,6 +95,8 @@ ci:
 	$(GO) test ./...
 	$(GO) test -race ./...
 	$(GO) test -cpu 1,2,4 -run 'MatchesSingleNode|MatchesBatch|FlushIsSequentialFold|PushOverlapsRunningRound' ./internal/cluster ./internal/ingest ./internal/sink
+	$(PERFBENCH_ENV) $(GO) build -C perfbench -o /dev/null .
+	$(PERFBENCH_ENV) $(GO) vet -C perfbench ./...
 
 # Fuzz smoke: run every native fuzz target for FUZZTIME each. Go allows
 # one -fuzz pattern per package invocation, so iterate explicitly. The

@@ -194,8 +194,8 @@ func BenchmarkPipelinePerCar(b *testing.B) {
 // BenchmarkPipelinePerCarObsOverhead is the observability overhead
 // gate: the BenchmarkPipelinePerCar workload run twice under identical
 // conditions — once with a nil registry (every metric operation a no-op
-// branch) and once with a live obs.Registry recording stage spans,
-// kept/dropped counters and router-cache gauges. Each variant builds
+// branch) and once with a live obs.Registry recording stage spans, the
+// ledger's stage counters and router-cache gauges. Each variant builds
 // its own environment so cache warmth and heap footprint match; the
 // instrumented run must stay within ~2 % of the no-op one.
 // results/BENCH_pipeline.json tracks the pair.

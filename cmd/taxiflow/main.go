@@ -17,18 +17,19 @@
 // worker pool, and Ctrl-C cancels the run promptly while keeping the
 // results already computed.
 //
-// Every run is instrumented through internal/obs: per-stage timing and
-// kept/dropped counters are printed in the end-of-run summary, -metrics
-// writes the full JSON snapshot, and -debug-addr serves /metrics
-// (Prometheus text format), /debug/vars (JSON) and /debug/pprof/ (live
-// profiling) for the duration of the run.
+// Every run is instrumented through internal/obs: per-stage timings are
+// printed in the end-of-run summary, -metrics writes the full JSON
+// snapshot, and -debug-addr serves /metrics (Prometheus text format),
+// /debug/vars (JSON) and /debug/pprof/ (live profiling) for the
+// duration of the run.
 //
 // Observability of the data itself: every run keeps a drop-reason
-// ledger (the lineage table printed in the summary; in = out +
-// Σ dropped per stage, conservation-checked), -report writes it as a
-// validated JSON run report (see cmd/lineagecheck), -trace-out records
-// per-car span trees and exports Chrome trace_event JSON loadable in
-// Perfetto, -trace-sample traces a deterministic fraction of cars, and
+// ledger (the lineage table printed in the summary, the one account of
+// what each stage kept and dropped; in = out + Σ dropped per stage,
+// conservation-checked), -report writes it as a validated JSON run
+// report (see cmd/lineagecheck), -trace-out records per-car span trees
+// and exports Chrome trace_event JSON loadable in Perfetto,
+// -trace-sample traces a deterministic fraction of cars, and
 // -log-level/-log-format stream structured logs (log/slog) to stderr.
 //
 // -serve-addr additionally mounts the serving layer (internal/sink +
@@ -238,7 +239,7 @@ func main() {
 		var stop func()
 		if snk, err = serving.newSink(p); err == nil {
 			apiSrv, stop, err = serving.serveAPI(reg.DebugMux(), snk, *serveAddr,
-				func(a *serve.API) *serve.API { return a.WithLineage(lin) })
+				func(a *serve.API) *serve.API { return a.WithLineage(lineageTable(lin)) })
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -372,43 +373,24 @@ func main() {
 	}
 }
 
-// stageAccounting maps each instrumented stage onto the counters shown
-// as kept/dropped in the summary table (counter names from
-// internal/core's pipelineMetrics).
-var stageAccounting = map[string]struct{ kept, dropped []string }{
-	"simulate": {kept: []string{"pipeline_simulate_trips"}},
-	"clean":    {kept: []string{"pipeline_clean_trips"}, dropped: []string{"pipeline_clean_points_dropped"}},
-	"segment": {
-		kept:    []string{"pipeline_segment_kept"},
-		dropped: []string{"pipeline_segment_dropped_short", "pipeline_segment_dropped_long"},
-	},
-	"odselect": {kept: []string{"pipeline_odselect_accepted"}, dropped: []string{"pipeline_odselect_rejected"}},
-	"mapmatch": {kept: []string{"pipeline_mapmatch_matched"}, dropped: []string{"pipeline_mapmatch_dropped"}},
-	"mapattr":  {kept: []string{"pipeline_mapattr_routes"}},
-	"grid":     {kept: []string{"pipeline_grid_points"}},
-	"lmm":      {},
-}
-
-// printStageTable renders the per-stage timing and kept/dropped account
-// of the run from the metrics snapshot.
+// printStageTable renders the per-stage timings of the run from the
+// metrics snapshot; what each stage kept and dropped is the lineage
+// table's.
 func printStageTable(snap obs.Snapshot) {
 	fmt.Printf("\nstage timings (per-stage spans across all cars):\n")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "stage\tcalls\ttotal\tp50\tp99\tkept\tdropped")
+	fmt.Fprintln(w, "stage\tcalls\ttotal\tp50\tp99")
 	stages := append(append([]string{}, core.StageNames...), "lmm")
 	for _, stage := range stages {
 		h, ok := snap.Histograms["pipeline_"+stage+"_duration_seconds"]
 		if !ok || h.Count == 0 {
 			continue
 		}
-		acct := stageAccounting[stage]
-		fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%s\t%s\t%s\n",
-			stage, h.Count,
-			fmtSeconds(h.Sum), fmtSeconds(h.P50), fmtSeconds(h.P99),
-			sumCounters(snap, acct.kept), sumCounters(snap, acct.dropped))
+		fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%s\n",
+			stage, h.Count, fmtSeconds(h.Sum), fmtSeconds(h.P50), fmtSeconds(h.P99))
 	}
 	if h, ok := snap.Histograms["pipeline_car_duration_seconds"]; ok && h.Count > 0 {
-		fmt.Fprintf(w, "per car\t%d\t%s\t%s\t%s\t\t\n",
+		fmt.Fprintf(w, "per car\t%d\t%s\t%s\t%s\n",
 			h.Count, fmtSeconds(h.Sum), fmtSeconds(h.P50), fmtSeconds(h.P99))
 	}
 	w.Flush()
@@ -492,7 +474,7 @@ func runClusterCoordinator(ctx context.Context, n node, addr string, shards, max
 	srv, stop, err := n.serveAPI(mux, coord, addr, func(a *serve.API) *serve.API {
 		return a.WithNode("coordinator", nodeID).
 			WithCluster(coord.WorkerHealth).
-			WithLineageSnapshot(coord.LineageSnapshot)
+			WithLineage(coord.LineageSnapshot)
 	})
 	if err != nil {
 		return err
@@ -547,7 +529,7 @@ func runClusterWorker(ctx context.Context, p *taxitrace.Pipeline, n node, lin *t
 	}
 	// The worker serves mux itself, on addr, next to its partials.
 	if _, _, err := n.serveAPI(mux, w, "", func(a *serve.API) *serve.API {
-		return a.WithLineage(lin).WithNode("worker", w.ID())
+		return a.WithLineage(lineageTable(lin)).WithNode("worker", w.ID())
 	}); err != nil {
 		return err
 	}
@@ -560,6 +542,12 @@ func runClusterWorker(ctx context.Context, p *taxitrace.Pipeline, n node, lin *t
 	fmt.Printf("shard sealed and merged by coordinator: epoch %d, %d cars, %d cells, %d directions\n",
 		final.Epoch, final.CarsIngested, len(final.Cells), len(final.OD))
 	return nil
+}
+
+// lineageTable backs /v1/lineage with a node's own ledger: its stage
+// rows and its ten most lossy cars.
+func lineageTable(lin *taxitrace.Lineage) func() obs.LineageSnapshot {
+	return func() obs.LineageSnapshot { return lin.Snapshot(10) }
 }
 
 // printLineageTable renders the drop-reason ledger: the per-stage
@@ -682,19 +670,6 @@ func printRunnerStats(snap obs.Snapshot) {
 		ok, failed, snap.Counters["runner_cars_retried"], snap.Counters["runner_cars_skipped"])
 }
 
-// sumCounters totals the named counters; "" when the stage has no such
-// account.
-func sumCounters(snap obs.Snapshot, names []string) string {
-	if len(names) == 0 {
-		return ""
-	}
-	var total uint64
-	for _, n := range names {
-		total += snap.Counters[n]
-	}
-	return fmt.Sprintf("%d", total)
-}
-
 // fmtSeconds renders a duration measured in seconds at ms resolution.
 func fmtSeconds(s float64) string {
 	return time.Duration(s * float64(time.Second)).Round(10 * time.Microsecond).String()
@@ -763,7 +738,7 @@ func runIngestServer(ctx context.Context, p *taxitrace.Pipeline, n node, lin *ta
 	// stop lets an in-flight firehose POST finish before the listener
 	// goes away, so a producer mid-stream sees a clean response.
 	srv, stop, err := n.serveAPI(n.reg.DebugMux(), snk, addr, func(a *serve.API) *serve.API {
-		return a.WithLineage(lin).WithIngest(eng)
+		return a.WithLineage(lineageTable(lin)).WithIngest(eng)
 	})
 	if err != nil {
 		return err

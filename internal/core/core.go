@@ -89,9 +89,10 @@ type Config struct {
 	// strict).
 	Check check.Config
 	// Metrics receives the pipeline's instrumentation: per-stage spans
-	// (duration histograms + active gauges), kept/dropped counters for
-	// every lossy stage, per-car worker timing, and the router
-	// path-cache stats re-exported as gauges. Nil disables
+	// (duration histograms + active gauges), the stage counts no
+	// lineage row carries (committed with the ledger), per-car worker
+	// timing, and the router path-cache stats re-exported as gauges.
+	// What each stage kept and dropped is Lineage's. Nil disables
 	// instrumentation entirely — every metric operation degrades to a
 	// no-op. Metrics never influence results: the pipeline's output is
 	// byte-identical with instrumentation on and off (see the
@@ -153,10 +154,9 @@ type Pipeline struct {
 	// checker is the stage-boundary invariant validator (nil when
 	// Config.Check is off; every method of a nil checker is a no-op).
 	checker *check.Validator
-	// ledger and fleet are the pre-resolved rows of Config.Lineage (all
-	// no-ops when it is nil).
+	// ledger commits each car's stage stats into Config.Lineage and
+	// Config.Metrics (a no-op for whichever is nil).
 	ledger *Ledger
-	fleet  *obs.StageLineage
 	// scratches pools per-car columnar scratch state (arena + sort
 	// buffers) across workers; see driver.go.
 	scratches sync.Pool
@@ -215,8 +215,7 @@ func NewPipelineWithCity(city *digiroad.City, cfg Config) (*Pipeline, error) {
 		Metrics:  cfg.Metrics,
 		met:      newPipelineMetrics(cfg.Metrics),
 		checker:  checker,
-		ledger:   NewLedger(cfg.Lineage),
-		fleet:    cfg.Lineage.Stage("fleet", "cars"),
+		ledger:   NewLedger(cfg.Metrics, cfg.Lineage),
 	}, nil
 }
 
@@ -362,13 +361,7 @@ func (p *Pipeline) runnerConfig() runner.Config {
 // Consumers must drain Events until it closes; RunContext does exactly
 // that and rebuilds the batch Result.
 func (p *Pipeline) Stream(ctx context.Context) *FleetStream {
-	st := runner.Run(ctx, p.runnerConfig(), p.Gen.Cars(), p.RunCarContext)
-	if p.Config.Lineage != nil || p.Config.Log != nil {
-		// Fold every terminal per-car outcome into the fleet lineage
-		// row (and the structured log) exactly once, as it happens.
-		st = runner.Tee(st, p.recordFleetEvent)
-	}
-	return st
+	return p.teeFleet(runner.Run(ctx, p.runnerConfig(), p.Gen.Cars(), p.RunCarContext))
 }
 
 // StreamCars is Stream over an explicit car list instead of the whole
@@ -376,11 +369,7 @@ func (p *Pipeline) Stream(ctx context.Context) *FleetStream {
 // subset of cars hashing to its shard. Identical semantics otherwise;
 // the error budget resolves against len(cars).
 func (p *Pipeline) StreamCars(ctx context.Context, cars []int) *FleetStream {
-	st := runner.RunList(ctx, p.runnerConfig(), cars, p.RunCarContext)
-	if p.Config.Lineage != nil || p.Config.Log != nil {
-		st = runner.Tee(st, p.recordFleetEvent)
-	}
-	return st
+	return p.teeFleet(runner.RunList(ctx, p.runnerConfig(), cars, p.RunCarContext))
 }
 
 // RunContext executes the pipeline for the whole fleet under ctx and
@@ -454,8 +443,8 @@ func (p *Pipeline) RunCarContext(ctx context.Context, car int) (CarResult, error
 	st.close(nil, obs.TAttr("trips", itoa(len(raw))))
 	cr, err := p.ProcessContext(ctx, car, raw)
 	if err == nil {
-		// Committed only on the final successful attempt, like the rest
-		// of the stage counters, so retries cannot double-count.
+		// Committed only on the final successful attempt, like the
+		// ledger, so retries cannot double-count.
 		p.met.simTrips.Add(uint64(len(raw)))
 	}
 	endCarTrace(ctx, root, err)

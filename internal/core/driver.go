@@ -114,9 +114,9 @@ func (s stage) close(violation error, attrs ...obs.TraceAttr) error {
 // ProcessContext runs the cleaning → segmentation → selection →
 // matching → attribute stages over one car's raw trips (however they
 // were obtained) under ctx, and commits the car into the pipeline's
-// stage counters and ledger when every stage succeeded. Cancellation
-// is honoured at every stage boundary, so between transitions too; on
-// error the partial CarResult built so far is returned alongside it.
+// ledger when every stage succeeded. Cancellation is honoured at every
+// stage boundary, so between transitions too; on error the partial
+// CarResult built so far is returned alongside it.
 //
 // A trip the columnar arena cannot represent (trace.ErrUnrepresentable:
 // a point id outside int32, a time outside the nanosecond window or

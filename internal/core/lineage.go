@@ -6,6 +6,7 @@ import (
 	"log/slog"
 
 	"repro/internal/obs"
+	"repro/internal/runner"
 )
 
 // Lineage glue: the drop-reason ledger. Stage code never touches a
@@ -23,12 +24,14 @@ import (
 //	mapmatch (transitions): PostFiltered = Matched + Degenerate + Unroutable
 //	fleet    (cars):        attempted    = ok + failed-by-stage
 
-// Ledger is the one mapping from stage stats to lineage rows: the
-// clean, segment, odselect and mapmatch rows of a drop-reason ledger,
-// resolved once. A batch pipeline commits each car into its
-// Config.Lineage; internal/ingest commits each closed trip into its
-// own ledger. With a nil ledger every handle is nil and every
-// operation is a no-op, mirroring the registry contract.
+// Ledger is the one mapping from stage stats to counts: the clean,
+// segment, odselect and mapmatch rows of a drop-reason ledger, plus the
+// registry counters for the stage counts no row carries (trips cleaned,
+// reordered and ordered by time; trips segmented, resplit and the stop
+// points dropped), all resolved once. A batch pipeline commits each car
+// into its Config.Lineage and Config.Metrics; internal/ingest commits
+// each closed trip into its own. Either may be nil: every handle
+// resolved from a nil one is a no-op, mirroring the registry contract.
 type Ledger struct {
 	clean, segment, od, match *obs.StageLineage
 
@@ -36,15 +39,26 @@ type Ledger struct {
 	segShort, segLong                                     *obs.DropCounter
 	odNoGate, odSingleGate, odOutsideCentre, odPostFilter *obs.DropCounter
 	matchDegenerate, matchUnroutable                      *obs.DropCounter
+
+	cleanTrips, cleanReordered, cleanChoseTime      *obs.Counter
+	segInputTrips, segResplit, segStopPointsDropped *obs.Counter
 }
 
-// NewLedger registers the stage rows on l (nil: a no-op ledger).
-func NewLedger(l *obs.Lineage) *Ledger {
+// NewLedger registers the stage rows on l and the stage counters on reg
+// (either may be nil).
+func NewLedger(reg *obs.Registry, l *obs.Lineage) *Ledger {
 	h := &Ledger{
 		clean:   l.Stage("clean", "points"),
 		segment: l.Stage("segment", "segments"),
 		od:      l.Stage("odselect", "segments"),
 		match:   l.Stage("mapmatch", "transitions"),
+
+		cleanTrips:           reg.Counter("pipeline_clean_trips"),
+		cleanReordered:       reg.Counter("pipeline_clean_reordered"),
+		cleanChoseTime:       reg.Counter("pipeline_clean_chose_time"),
+		segInputTrips:        reg.Counter("pipeline_segment_input_trips"),
+		segResplit:           reg.Counter("pipeline_segment_resplit"),
+		segStopPointsDropped: reg.Counter("pipeline_segment_stop_points_dropped"),
 	}
 	h.cleanNonFinite = h.clean.Reason(obs.DropNonFinite)
 	h.cleanOutOfArea = h.clean.Reason(obs.DropOutOfArea)
@@ -65,15 +79,23 @@ func NewLedger(l *obs.Lineage) *Ledger {
 // its drops to cr.Car. Call it once per result.
 func (h *Ledger) Commit(cr *CarResult) {
 	car := cr.Car
-	h.clean.RecordCar(car, uint64(cr.CleanStats.RawPoints), uint64(cr.CleanStats.KeptPoints))
-	h.cleanNonFinite.Add(uint64(cr.CleanStats.Drops.NonFinite))
-	h.cleanOutOfArea.Add(uint64(cr.CleanStats.Drops.OutOfArea))
-	h.cleanDup.Add(uint64(cr.CleanStats.Drops.DuplicateID))
-	h.cleanSpike.Add(uint64(cr.CleanStats.Drops.Spike))
+	cs := cr.CleanStats
+	h.clean.RecordCar(car, uint64(cs.RawPoints), uint64(cs.KeptPoints))
+	h.cleanNonFinite.Add(uint64(cs.Drops.NonFinite))
+	h.cleanOutOfArea.Add(uint64(cs.Drops.OutOfArea))
+	h.cleanDup.Add(uint64(cs.Drops.DuplicateID))
+	h.cleanSpike.Add(uint64(cs.Drops.Spike))
+	h.cleanTrips.Add(uint64(cs.Trips))
+	h.cleanReordered.Add(uint64(cs.Reordered))
+	h.cleanChoseTime.Add(uint64(cs.ChoseTime))
 
-	h.segment.RecordCar(car, uint64(cr.SegStats.RawSegments), uint64(cr.SegStats.KeptSegments))
-	h.segShort.Add(uint64(cr.SegStats.TooFewPoints))
-	h.segLong.Add(uint64(cr.SegStats.TooLong))
+	ss := cr.SegStats
+	h.segment.RecordCar(car, uint64(ss.RawSegments), uint64(ss.KeptSegments))
+	h.segShort.Add(uint64(ss.TooFewPoints))
+	h.segLong.Add(uint64(ss.TooLong))
+	h.segInputTrips.Add(uint64(ss.InputTrips))
+	h.segResplit.Add(uint64(ss.Resplit))
+	h.segStopPointsDropped.Add(uint64(ss.DroppedStopPoints))
 
 	f := cr.Funnel
 	h.od.RecordCar(car, uint64(f.TripSegments), uint64(f.PostFiltered))
@@ -88,19 +110,13 @@ func (h *Ledger) Commit(cr *CarResult) {
 	h.matchUnroutable.Add(uint64(m.Unroutable))
 }
 
-// commitCar publishes one successfully processed car into the stage
-// counters and the pipeline's ledger. The batch entries call it once
-// per car, after every stage succeeded, so a retried attempt's partial
-// progress never leaks into the totals (the per-attempt duration
-// histograms and the pipeline_cars_processed envelope counter
-// intentionally remain per-attempt).
+// commitCar commits one successfully processed car into the pipeline's
+// ledger. The batch entries call it once per car, after every stage
+// succeeded, so a retried attempt's partial progress never leaks into
+// the totals (the per-attempt duration histograms and the
+// pipeline_cars_processed envelope counter intentionally remain
+// per-attempt).
 func (p *Pipeline) commitCar(cr *CarResult) {
-	p.met.recordCleanStats(cr.CleanStats)
-	p.met.recordSegStats(cr.SegStats)
-	p.met.recordFunnel(cr.Funnel)
-	p.met.matchMatched.Add(uint64(cr.MatchStats.Matched))
-	p.met.matchDropped.Add(uint64(cr.MatchStats.Degenerate + cr.MatchStats.Unroutable))
-	p.met.attrRoutes.Add(uint64(len(cr.Transitions)))
 	p.ledger.Commit(cr)
 
 	if log := p.Config.Log; log != nil {
@@ -114,30 +130,38 @@ func (p *Pipeline) commitCar(cr *CarResult) {
 	}
 }
 
-// recordFleetEvent folds one terminal per-car outcome into the fleet
-// row of the ledger (and the structured log). Runs on the stream's
-// forwarding goroutine via runner.Tee, so every delivered event is
-// counted exactly once; cars abandoned before producing an event are
-// never counted as "in", keeping the row conserved under aborts.
-func (p *Pipeline) recordFleetEvent(ev CarEvent) {
+// teeFleet registers the fleet row of Config.Lineage and tees every
+// terminal per-car outcome of st into it (and into the structured log)
+// exactly once, as it happens, on the stream's forwarding goroutine.
+// Cars abandoned before producing an event are never counted as "in",
+// keeping the row conserved under aborts. Only a fleet stream fills the
+// row, so a pipeline that never streams a fleet (an ingest server's)
+// lists none.
+func (p *Pipeline) teeFleet(st *FleetStream) *FleetStream {
 	log := p.Config.Log
-	if ev.Err == nil {
-		p.fleet.RecordCar(ev.Car, 1, 1)
-		return
+	if p.Config.Lineage == nil && log == nil {
+		return st
 	}
-	p.fleet.RecordCar(ev.Car, 1, 0)
-	reason := obs.DropCancelled
-	if !errors.Is(ev.Err.Err, context.Canceled) && !errors.Is(ev.Err.Err, context.DeadlineExceeded) {
-		reason = obs.DropReason("failed:" + failStage(ev.Err.Stage))
-	}
-	p.fleet.Reason(reason).Add(1)
-	if log != nil {
-		log.Warn("car failed",
-			slog.Int("car", ev.Car),
-			slog.String("stage", failStage(ev.Err.Stage)),
-			slog.Int("attempts", ev.Err.Attempts),
-			slog.String("error", ev.Err.Err.Error()))
-	}
+	fleet := p.Config.Lineage.Stage("fleet", "cars")
+	return runner.Tee(st, func(ev CarEvent) {
+		if ev.Err == nil {
+			fleet.RecordCar(ev.Car, 1, 1)
+			return
+		}
+		fleet.RecordCar(ev.Car, 1, 0)
+		reason := obs.DropCancelled
+		if !errors.Is(ev.Err.Err, context.Canceled) && !errors.Is(ev.Err.Err, context.DeadlineExceeded) {
+			reason = obs.DropReason("failed:" + failStage(ev.Err.Stage))
+		}
+		fleet.Reason(reason).Add(1)
+		if log != nil {
+			log.Warn("car failed",
+				slog.Int("car", ev.Car),
+				slog.String("stage", failStage(ev.Err.Stage)),
+				slog.Int("attempts", ev.Err.Attempts),
+				slog.String("error", ev.Err.Err.Error()))
+		}
+	})
 }
 
 func failStage(stage string) string {

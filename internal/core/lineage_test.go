@@ -124,16 +124,18 @@ func TestRetryCommitsLineageOnce(t *testing.T) {
 
 	// Every stage counter must match the fault-free run: partial
 	// attempts commit nothing. pipeline_cars_processed and the duration
-	// histograms are per-attempt by design and excluded.
+	// histograms are per-attempt by design and excluded; the lineage
+	// rows are compared below.
 	cleanSnap, faultSnap := cleanReg.Snapshot(), faultReg.Snapshot()
 	for _, name := range []string{
 		"pipeline_simulate_trips",
-		"pipeline_clean_trips", "pipeline_clean_points_dropped",
-		"pipeline_segment_kept", "pipeline_segment_input_trips",
-		"pipeline_odselect_segments", "pipeline_odselect_accepted",
-		"pipeline_mapmatch_matched", "pipeline_mapmatch_dropped",
-		"pipeline_mapattr_routes",
+		"pipeline_clean_trips", "pipeline_clean_reordered", "pipeline_clean_chose_time",
+		"pipeline_segment_input_trips", "pipeline_segment_resplit",
+		"pipeline_segment_stop_points_dropped",
 	} {
+		if _, ok := cleanSnap.Counters[name]; !ok {
+			t.Errorf("%s not exported", name)
+		}
 		if got, want := faultSnap.Counters[name], cleanSnap.Counters[name]; got != want {
 			t.Errorf("%s = %d after retries, want %d", name, got, want)
 		}

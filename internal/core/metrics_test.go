@@ -10,9 +10,11 @@ import (
 )
 
 // TestPipelineMetrics runs a small instrumented fleet and checks that
-// every stage reported consistent counters: the funnel numbers the
-// registry accumulates must equal the sums of the per-car results, and
-// the router cache gauges must reconcile with Router.CacheStats.
+// the registry holds one count per stage fact: the lineage series and
+// the stage counters the ledger commits beside them must equal the
+// sums of the per-car results, no other pipeline counter may re-count
+// them, and the router cache gauges must reconcile with
+// Router.CacheStats.
 func TestPipelineMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	p, err := NewPipeline(Config{
@@ -21,6 +23,7 @@ func TestPipelineMetrics(t *testing.T) {
 			Seed: 42, Cars: 2, TripsPerCar: 8, GateRunFraction: 0.35,
 		},
 		Metrics: reg,
+		Lineage: obs.NewLineage(reg),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,29 +37,36 @@ func TestPipelineMetrics(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 
-	var wantTrips, wantKeptSegs, wantAccepted, wantMatched uint64
+	want := map[string]uint64{"pipeline_cars_processed": uint64(len(res.Cars))}
+	add := func(name string, n int) { want[name] += uint64(n) }
 	for _, cr := range res.Cars {
-		wantTrips += uint64(cr.CleanStats.Trips)
-		wantKeptSegs += uint64(cr.SegStats.KeptSegments)
-		wantAccepted += uint64(cr.Funnel.PostFiltered)
-		wantMatched += uint64(len(cr.Transitions))
+		add("pipeline_simulate_trips", cr.RawTrips)
+		add("pipeline_clean_trips", cr.CleanStats.Trips)
+		add("pipeline_clean_reordered", cr.CleanStats.Reordered)
+		add("pipeline_clean_chose_time", cr.CleanStats.ChoseTime)
+		add("pipeline_segment_input_trips", cr.SegStats.InputTrips)
+		add("pipeline_segment_resplit", cr.SegStats.Resplit)
+		add("pipeline_segment_stop_points_dropped", cr.SegStats.DroppedStopPoints)
+		add(`lineage_in_total{stage="clean"}`, cr.CleanStats.RawPoints)
+		add(`lineage_out_total{stage="clean"}`, cr.CleanStats.KeptPoints)
+		add(`lineage_out_total{stage="segment"}`, cr.SegStats.KeptSegments)
+		add(`lineage_in_total{stage="odselect"}`, cr.Funnel.TripSegments)
+		add(`lineage_out_total{stage="odselect"}`, cr.Funnel.PostFiltered)
+		add(`lineage_in_total{stage="mapmatch"}`, cr.Funnel.PostFiltered)
+		add(`lineage_out_total{stage="mapmatch"}`, len(cr.Transitions))
 	}
-	checks := map[string]uint64{
-		"pipeline_cars_processed":    uint64(len(res.Cars)),
-		"pipeline_clean_trips":       wantTrips,
-		"pipeline_segment_kept":      wantKeptSegs,
-		"pipeline_odselect_accepted": wantAccepted,
-		"pipeline_mapmatch_matched":  wantMatched,
-		"pipeline_mapattr_routes":    wantMatched,
+	if want[`lineage_out_total{stage="mapmatch"}`] == 0 {
+		t.Fatal("degenerate fixture: no transition was matched")
 	}
-	for name, want := range checks {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+	for name, w := range want {
+		if got, ok := snap.Counters[name]; !ok || got != w {
+			t.Errorf("%s = %d (exported %v), want %d", name, got, ok, w)
 		}
 	}
-	if got, want := snap.Counters["pipeline_mapmatch_matched"]+snap.Counters["pipeline_mapmatch_dropped"],
-		wantAccepted; got != want {
-		t.Errorf("matched+dropped = %d, want accepted transitions %d", got, want)
+	for name := range snap.Counters {
+		if _, ok := want[name]; strings.HasPrefix(name, "pipeline_") && !ok && name != "pipeline_grid_points" {
+			t.Errorf("counter %s re-counts a stage fact the lineage or the ledger's counters hold", name)
+		}
 	}
 
 	// Router cache gauges mirror CacheStats.

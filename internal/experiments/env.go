@@ -28,7 +28,7 @@ type EnvConfig struct {
 	// filtering.
 	GateRunFraction float64
 	// Metrics, when non-nil, instruments the pipeline run (stage spans,
-	// kept/dropped counters, router cache stats).
+	// the stage counts no lineage row carries, router cache stats).
 	Metrics *obs.Registry
 	// Workers bounds the fleet runner's worker pool (0 = GOMAXPROCS);
 	// MaxFailures is its error budget (0 = unlimited, negative =

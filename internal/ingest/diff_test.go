@@ -3,9 +3,13 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,18 +47,19 @@ type diffFixture struct {
 
 func newDiffFixture(t *testing.T) *diffFixture {
 	t.Helper()
-	return newLedgerDiffFixture(t, nil)
+	return newLedgerDiffFixture(t, nil, nil)
 }
 
 // newLedgerDiffFixture is newDiffFixture over a pipeline whose batch
-// runs commit into lin.
-func newLedgerDiffFixture(t *testing.T, lin *obs.Lineage) *diffFixture {
+// runs commit into reg and lin.
+func newLedgerDiffFixture(t *testing.T, reg *obs.Registry, lin *obs.Lineage) *diffFixture {
 	t.Helper()
 	p, err := core.NewPipeline(core.Config{
 		CitySeed: 42,
 		Fleet: tracegen.Config{
 			Seed: 42, Cars: 32, TripsPerCar: 3, GateRunFraction: 0.4,
 		},
+		Metrics: reg,
 		Lineage: lin,
 	})
 	if err != nil {
@@ -215,18 +220,20 @@ func compareSnapshots(t *testing.T, got, want *sink.Snapshot) {
 	}
 }
 
-// streamSnapshot replays pts point by point through an engine and
-// returns the sealed snapshot plus the engine and its ledger.
-func (fx *diffFixture) streamSnapshot(t *testing.T, pts []Point) (*sink.Snapshot, *Engine, *obs.Lineage) {
+// streamSnapshot replays pts point by point through an engine that
+// reports to reg (may be nil) and returns the sealed snapshot plus the
+// engine and its ledger, which mirrors into reg.
+func (fx *diffFixture) streamSnapshot(t *testing.T, pts []Point, reg *obs.Registry) (*sink.Snapshot, *Engine, *obs.Lineage) {
 	t.Helper()
 	s := newDiffSink(t, fx.p)
-	lin := obs.NewLineage(nil)
+	lin := obs.NewLineage(reg)
 	e, err := New(Config{
 		Pipeline:        fx.p,
 		Sink:            s,
 		AllowedLateness: 30 * time.Second,
 		IdleTimeout:     5 * time.Minute,
 		WatermarkEvery:  64,
+		Metrics:         reg,
 		Lineage:         lin,
 	})
 	if err != nil {
@@ -247,7 +254,7 @@ func (fx *diffFixture) streamSnapshot(t *testing.T, pts []Point) (*sink.Snapshot
 func TestStreamedSnapshotMatchesBatch(t *testing.T) {
 	fx := newDiffFixture(t)
 	want := fx.batchSnapshot(t)
-	got, e, lin := fx.streamSnapshot(t, fx.pts)
+	got, e, lin := fx.streamSnapshot(t, fx.pts, nil)
 
 	compareSnapshots(t, got, want)
 
@@ -316,7 +323,7 @@ func TestStreamedSnapshotMatchesBatchShuffled(t *testing.T) {
 		t.Fatalf("in-window span %dms exceeds the allowed lateness; shrink the window", span)
 	}
 
-	got, e, lin := fx.streamSnapshot(t, shuffled)
+	got, e, lin := fx.streamSnapshot(t, shuffled, nil)
 	compareSnapshots(t, got, want)
 
 	st := e.Stats()
@@ -351,16 +358,29 @@ func checkLineage(t *testing.T, lin *obs.Lineage, st Stats) {
 	}
 }
 
-// TestStreamedLedgerMatchesBatch pins the single stats → lineage
+// TestStreamedLedgerMatchesBatch pins the single stats → counts
 // commit: replaying the differential fleet, ordered and shuffled, fills
 // the engine's clean, segment, odselect and mapmatch rows — in, out and
 // every drop reason — exactly as a batch run over the same trips fills
-// the pipeline's own ledger. The engine drives that same pipeline, so
-// the per-trip entry committing into the pipeline's ledger as well
-// would show up as doubled batch rows.
+// the pipeline's own ledger. The two registries must then carry the
+// same stage count series, value for value: the lineage_* series of
+// those rows and the stage counters the ledger commits beside them.
+// The engine drives that same pipeline, so the per-trip entry
+// committing into the pipeline's ledger or registry as well would show
+// up as doubled batch counts.
+//
+// The shuffled replay differs from batch in the two counters of the
+// cleaner's ordering decision, which read the arrival order:
+// pipeline_clean_reordered counts trips whose arrival order needed
+// repair, and pipeline_clean_chose_time follows the timestamp sort,
+// which is stable and so breaks a repeated timestamp in arrival order
+// (one trip of this fleet, car 13's 13000001, repeats a timestamp and
+// picks the timestamp order only when shuffled). The ordered replay
+// matches batch in every series.
 func TestStreamedLedgerMatchesBatch(t *testing.T) {
-	batchLin := obs.NewLineage(nil)
-	fx := newLedgerDiffFixture(t, batchLin)
+	batchReg := obs.NewRegistry()
+	batchLin := obs.NewLineage(batchReg)
+	fx := newLedgerDiffFixture(t, batchReg, batchLin)
 	for _, car := range fx.cars {
 		if _, err := fx.p.ProcessContext(context.Background(), car, fx.byCar[car]); err != nil {
 			t.Fatalf("batch car %d: %v", car, err)
@@ -370,19 +390,42 @@ func TestStreamedLedgerMatchesBatch(t *testing.T) {
 	if len(want) != 4 {
 		t.Fatalf("batch ledger rows = %v, want clean, segment, odselect and mapmatch", want)
 	}
+	wantCounts := stageCounts(batchReg)
+	for _, name := range ledgerCounters {
+		if _, ok := wantCounts[name]; !ok {
+			t.Fatalf("batch registry lacks %s: %v", name, wantCounts)
+		}
+	}
 
 	shuffled := append([]Point(nil), fx.pts...)
 	ShuffleWindows(shuffled, 32, 20_000, 7)
 	for name, pts := range map[string][]Point{"ordered": fx.pts, "shuffled": shuffled} {
-		_, _, lin := fx.streamSnapshot(t, pts)
+		reg := obs.NewRegistry()
+		_, _, lin := fx.streamSnapshot(t, pts, reg)
 		got := stageRows(lin)
 		for stage, w := range want {
 			if g := got[stage]; !reflect.DeepEqual(g, w) {
 				t.Errorf("%s: %s row streamed %+v, batch %+v", name, stage, g, w)
 			}
 		}
+		g, w := stageCounts(reg), maps.Clone(wantCounts)
+		if name == "shuffled" {
+			for _, c := range arrivalOrderCounters {
+				if _, ok := g[c]; !ok {
+					t.Errorf("%s: streamed registry lacks %s", name, c)
+				}
+				delete(g, c)
+				delete(w, c)
+			}
+		}
+		for _, d := range countDiffs(g, w) {
+			t.Errorf("%s: %s", name, d)
+		}
 		if again := stageRows(batchLin); !reflect.DeepEqual(again, want) {
 			t.Fatalf("%s: the stream committed into the pipeline's ledger: %+v, want %+v", name, again, want)
+		}
+		if again := stageCounts(batchReg); !reflect.DeepEqual(again, wantCounts) {
+			t.Fatalf("%s: the stream committed into the pipeline's registry: %v, want %v", name, again, wantCounts)
 		}
 	}
 }
@@ -391,12 +434,70 @@ func TestStreamedLedgerMatchesBatch(t *testing.T) {
 func stageRows(lin *obs.Lineage) map[string]obs.StageSnapshot {
 	rows := map[string]obs.StageSnapshot{}
 	for _, s := range lin.Snapshot(0).Stages {
-		switch s.Stage {
-		case "clean", "segment", "odselect", "mapmatch":
+		if perTripStage(s.Stage) {
 			rows[s.Stage] = s
 		}
 	}
 	return rows
+}
+
+// ledgerCounters are the stage counts core.Ledger commits to the
+// registry beside the lineage rows.
+var ledgerCounters = []string{
+	"pipeline_clean_trips", "pipeline_clean_reordered", "pipeline_clean_chose_time",
+	"pipeline_segment_input_trips", "pipeline_segment_resplit", "pipeline_segment_stop_points_dropped",
+}
+
+// arrivalOrderCounters are the ledger's counters that read a trip's
+// arrival order (see TestStreamedLedgerMatchesBatch).
+var arrivalOrderCounters = []string{"pipeline_clean_reordered", "pipeline_clean_chose_time"}
+
+// stageCounts returns the registry's per-trip stage count series: the
+// lineage_* series of the per-trip rows and the ledger's counters.
+func stageCounts(reg *obs.Registry) map[string]uint64 {
+	counts := map[string]uint64{}
+	for name, v := range reg.Snapshot().Counters {
+		_, label, _ := strings.Cut(name, `{stage="`)
+		stage, _, _ := strings.Cut(label, `"`)
+		if (strings.HasPrefix(name, "lineage_") && perTripStage(stage)) || slices.Contains(ledgerCounters, name) {
+			counts[name] = v
+		}
+	}
+	return counts
+}
+
+// countDiffs lists the series whose streamed and batch values differ,
+// or that only one side exports.
+func countDiffs(streamed, batch map[string]uint64) []string {
+	var names []string
+	for n := range streamed {
+		names = append(names, n)
+	}
+	for n := range batch {
+		if _, ok := streamed[n]; !ok {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	var diffs []string
+	for _, n := range names {
+		s, inS := streamed[n]
+		b, inB := batch[n]
+		if s != b || inS != inB {
+			diffs = append(diffs, fmt.Sprintf("%s: streamed %d (exported %v), batch %d (exported %v)", n, s, inS, b, inB))
+		}
+	}
+	return diffs
+}
+
+// perTripStage reports whether a lineage row is one the ledger commits
+// per trip (streamed) and per car (batch).
+func perTripStage(stage string) bool {
+	switch stage {
+	case "clean", "segment", "odselect", "mapmatch":
+		return true
+	}
+	return false
 }
 
 // TestFlushIsSequentialFold: a flush round analyses its trips on up
@@ -422,7 +523,7 @@ func TestFlushIsSequentialFold(t *testing.T) {
 func (fx *diffFixture) checkSequentialFold(t *testing.T, pts []Point, every int) {
 	snk, ref := newDiffSink(t, fx.p), newDiffSink(t, fx.p)
 	lin, refLin := obs.NewLineage(nil), obs.NewLineage(nil)
-	refLedger := core.NewLedger(refLin)
+	refLedger := core.NewLedger(nil, refLin)
 	e, err := New(Config{
 		Pipeline:        fx.p,
 		Sink:            snk,

@@ -46,7 +46,11 @@ type Config struct {
 	// closeable trips) every N received points, dropped ones included.
 	// Default 256.
 	WatermarkEvery int
-	// Metrics receives ingest_* instrumentation; nil disables.
+	// Metrics receives the ingest_* instrumentation, plus the stage
+	// counters core.Ledger commits with each flushed trip
+	// (pipeline_clean_trips, pipeline_segment_resplit, ...). Points
+	// received and admitted are the in and out of Lineage's "ingest"
+	// row. Nil disables.
 	Metrics *obs.Registry
 	// Lineage receives the streaming drop-reason ledger: stages
 	// "ingest" and "clean" in points, "segment" and "odselect" in
@@ -112,7 +116,7 @@ type Engine struct {
 	closedTrips uint64
 
 	lin    linHandles
-	ledger *core.Ledger // clean → mapmatch rows, one commit per flushed trip
+	ledger *core.Ledger // clean → mapmatch counts, one commit per flushed trip
 	met    engineMetrics
 
 	// stepMu orders watermark steps and their hand-offs: a step, its
@@ -184,8 +188,6 @@ func newLinHandles(l *obs.Lineage) linHandles {
 }
 
 type engineMetrics struct {
-	received    *obs.Counter
-	admitted    *obs.Counter
 	tripsClosed *obs.Counter
 	flushes     *obs.Counter
 	watermark   *obs.Gauge
@@ -211,10 +213,8 @@ func New(cfg Config) (*Engine, error) {
 		cars:   map[int]*carState{},
 		drops:  map[obs.DropReason]uint64{},
 		lin:    lin,
-		ledger: core.NewLedger(cfg.Lineage),
+		ledger: core.NewLedger(reg, cfg.Lineage),
 		met: engineMetrics{
-			received:    reg.Counter("ingest_points_received"),
-			admitted:    reg.Counter("ingest_points_admitted"),
 			tripsClosed: reg.Counter("ingest_trips_closed"),
 			flushes:     reg.Counter("ingest_flushes"),
 			watermark:   reg.Gauge("ingest_watermark_ms"),
@@ -275,8 +275,6 @@ func (e *Engine) PushBatch(pts []Point) PushResult {
 	}
 	e.mu.Unlock()
 
-	e.met.received.Add(uint64(res.Received))
-	e.met.admitted.Add(uint64(res.Admitted))
 	if due {
 		e.stepMu.Lock()
 		defer e.stepMu.Unlock()

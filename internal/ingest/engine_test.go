@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -433,5 +434,51 @@ func TestAdmissionFilters(t *testing.T) {
 
 	if st := e.Stats(); st.Admitted != 0 || st.Received != 3 {
 		t.Fatalf("stats = %+v, want 3 received 0 admitted", st)
+	}
+}
+
+// TestFleetRowOnlyWhereAFleetStreams: the lineage's fleet row counts
+// the cars a fleet stream delivers, so it is registered where a fleet
+// streams. An engine sharing its pipeline's lineage, as an ingest
+// server's does, lists no fleet row it could never fill; a batch run
+// over the same pipeline lists one with a car in per car run.
+func TestFleetRowOnlyWhereAFleetStreams(t *testing.T) {
+	lin := obs.NewLineage(nil)
+	p, err := core.NewPipelineWithCity(testPipeline(t).City, core.Config{
+		CitySeed: 42,
+		Fleet:    tracegen.Config{Seed: 42, Cars: 2, TripsPerCar: 4, GateRunFraction: 0.3},
+		Lineage:  lin,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func() map[string]obs.StageSnapshot {
+		out := map[string]obs.StageSnapshot{}
+		for _, r := range lin.Snapshot(0).Stages {
+			out[r.Stage] = r
+		}
+		return out
+	}
+
+	e := newTestEngine(t, Config{Pipeline: p, Lineage: lin})
+	for i := int64(1); i <= 5; i++ {
+		e.Push(syntheticPoint(p, 1, 1, int(i), i))
+	}
+	e.Close()
+	got := rows()
+	if r, ok := got["fleet"]; ok {
+		t.Fatalf("engine lineage lists a fleet row: %+v", r)
+	}
+	if got["ingest"].Out != 5 || got["clean"].In != 5 {
+		t.Fatalf("engine did not commit its trip into the shared lineage: %+v", got)
+	}
+
+	res, err := p.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, ok := rows()["fleet"]
+	if !ok || fleet.In != 2 || fleet.In != uint64(len(res.Cars)) {
+		t.Fatalf("batch fleet row = %+v (listed %v), want in = %d cars", fleet, ok, len(res.Cars))
 	}
 }

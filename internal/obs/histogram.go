@@ -94,49 +94,11 @@ func (h *Histogram) Max() float64 {
 	return math.Float64frombits(h.max.Load())
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
-// counts: the representative value of the bucket holding the ceil(q*n)
-// ranked observation. Under concurrent writes the estimate remains
-// well-defined (each bucket read is atomic) but may mix in observations
-// arriving during the scan. An empty (or nil) histogram has no
-// quantiles: the result is NaN, a sentinel no bucket midpoint can ever
-// produce, so "no data" cannot be mistaken for "the quantile is ~1e-9"
-// (bucket 0's midpoint). A NaN q propagates as NaN. JSON-facing
-// summaries (Snapshot, the serving layer) map the sentinel back to 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	n := h.count.Load()
-	if n == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			return bucketValue(i)
-		}
-	}
-	// Writers may have bumped count between our loads; fall back to the
-	// highest non-empty bucket.
-	for i := histBuckets - 1; i >= 0; i-- {
-		if h.buckets[i].Load() > 0 {
-			return bucketValue(i)
-		}
-	}
-	return 0
-}
+// Quantile estimates the q-quantile (0 <= q <= 1) of a Freeze of the
+// histogram; see FrozenHistogram.Quantile. Under concurrent writes the
+// estimate remains well-defined (each bucket read is atomic) but may
+// mix in observations arriving during the scan.
+func (h *Histogram) Quantile(q float64) float64 { return h.Freeze().Quantile(q) }
 
 // FrozenHistogram is an immutable point-in-time copy of a histogram:
 // sparse bucket counts plus the running count/sum/max. Safe to share
@@ -225,9 +187,13 @@ func (f *FrozenHistogram) Mean() float64 {
 	return f.sum / float64(f.count)
 }
 
-// Quantile estimates the q-quantile from the frozen bucket counts, with
-// the same bucket-midpoint semantics (and NaN empty/NaN-q sentinel) as
-// Histogram.Quantile.
+// Quantile estimates the q-quantile (0 <= q <= 1) from the frozen
+// bucket counts: the representative value of the bucket holding the
+// ceil(q*n) ranked observation. An empty (or nil) histogram has no
+// quantiles: the result is NaN, a sentinel no bucket midpoint can ever
+// produce, so "no data" cannot be mistaken for "the quantile is ~1e-9"
+// (bucket 0's midpoint). A NaN q propagates as NaN. JSON-facing
+// summaries (Snapshot, the serving layer) map the sentinel back to 0.
 func (f *FrozenHistogram) Quantile(q float64) float64 {
 	if f == nil || f.count == 0 || math.IsNaN(q) {
 		return math.NaN()
@@ -249,6 +215,8 @@ func (f *FrozenHistogram) Quantile(q float64) float64 {
 			return bucketValue(int(f.idx[i]))
 		}
 	}
+	// A concurrent writer may have bumped the count ahead of its
+	// bucket; fall back to the highest non-empty bucket.
 	if len(f.idx) > 0 {
 		return bucketValue(int(f.idx[len(f.idx)-1]))
 	}
@@ -342,20 +310,23 @@ type HistogramSnapshot struct {
 	P99   float64 `json:"p99"`
 }
 
-// Snapshot summarises the histogram. The NaN empty-quantile sentinel is
-// mapped back to 0 here: snapshots are JSON-marshalled (JSON has no
-// NaN) and an all-zero summary with Count 0 is unambiguous.
+// Snapshot summarises the histogram from one Freeze, so its count and
+// quantiles describe the same observations. The NaN empty-quantile
+// sentinel is mapped back to 0 here: snapshots are JSON-marshalled
+// (JSON has no NaN) and an all-zero summary with Count 0 is
+// unambiguous.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
+	f := h.Freeze()
 	return HistogramSnapshot{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		Max:   h.Max(),
-		P50:   zeroNaN(h.Quantile(0.50)),
-		P90:   zeroNaN(h.Quantile(0.90)),
-		P99:   zeroNaN(h.Quantile(0.99)),
+		Count: f.Count(),
+		Sum:   f.Sum(),
+		Max:   f.Max(),
+		P50:   zeroNaN(f.Quantile(0.50)),
+		P90:   zeroNaN(f.Quantile(0.90)),
+		P99:   zeroNaN(f.Quantile(0.99)),
 	}
 }
 

@@ -23,13 +23,13 @@
 // Typical use:
 //
 //	reg := obs.NewRegistry()
-//	matched := reg.Counter("pipeline_mapmatch_matched")
-//	timer := reg.SpanTimer("pipeline_mapmatch")
+//	points := reg.Counter("pipeline_grid_points")
+//	timer := reg.SpanTimer("pipeline_grid")
 //	...
-//	sp := timer.Start()          // increments pipeline_mapmatch_active
-//	res, err := matcher.Match(pts)
-//	sp.End()                     // observes pipeline_mapmatch_duration_seconds
-//	matched.Inc()
+//	sp := timer.Start()          // increments pipeline_grid_active
+//	agg.Add(pt.Pos, pt.SpeedKmh)
+//	sp.End()                     // observes pipeline_grid_duration_seconds
+//	points.Inc()
 package obs
 
 import (
@@ -60,17 +60,6 @@ func NewRegistry() *Registry {
 		hists:    map[string]*Histogram{},
 	}
 }
-
-// def is the package-level default registry used by the package-level
-// convenience functions.
-var def = NewRegistry()
-
-// Default returns the package-level registry.
-func Default() *Registry { return def }
-
-// StartSpan opens a span against the default registry; see
-// Registry.StartSpan.
-func StartSpan(name string) Span { return def.StartSpan(name) }
 
 // Counter returns (registering on first use) the named monotonic
 // counter. Safe for concurrent callers; returns nil on a nil registry.

@@ -37,7 +37,8 @@ type Report struct {
 	Lineage obs.LineageSnapshot `json:"lineage"`
 }
 
-// FleetSummary is the runner's outcome account.
+// FleetSummary is the runner's outcome account, plus the matched
+// transitions: the out count of the lineage's mapmatch row.
 type FleetSummary struct {
 	CarsOK      uint64 `json:"cars_ok"`
 	CarsFailed  uint64 `json:"cars_failed"`
@@ -92,10 +93,14 @@ func Build(reg *obs.Registry, lin *obs.Lineage, opts Options) Report {
 			CarsFailed:  snap.Counters["runner_cars_failed"],
 			CarsRetried: snap.Counters["runner_cars_retried"],
 			CarsSkipped: snap.Counters["runner_cars_skipped"],
-			Transitions: snap.Counters["pipeline_mapattr_routes"],
 		},
 		StageTimings: []StageTiming{},
 		Lineage:      lin.Snapshot(opts.TopCars),
+	}
+	for _, st := range r.Lineage.Stages {
+		if st.Stage == "mapmatch" {
+			r.Fleet.Transitions = st.Out
+		}
 	}
 	for _, stage := range core.StageNames {
 		h, ok := snap.Histograms["pipeline_"+stage+"_duration_seconds"]

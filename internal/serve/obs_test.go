@@ -69,7 +69,7 @@ func TestLineageEndpoint(t *testing.T) {
 	st := lin.Stage("clean", "points")
 	st.Reason("spike").Add(3)
 	st.RecordCar(4, 10, 7) // folds 10 in / 7 out into the stage totals too
-	api.WithLineage(lin)
+	api.WithLineage(func() obs.LineageSnapshot { return lin.Snapshot(10) })
 
 	resp.Lineage = nil
 	get(t, api, "/v1/lineage", &resp)
@@ -233,9 +233,11 @@ func TestHealthzNodeIdentity(t *testing.T) {
 	}
 }
 
-func TestLineageSnapshotOverride(t *testing.T) {
-	// The coordinator serves a merged (precomputed) lineage table; it
-	// must win over a live ledger and mark the endpoint enabled.
+func TestLineageSnapshotBacking(t *testing.T) {
+	// /v1/lineage has one backing, a table function: the coordinator
+	// passes its merged cluster table, a node its ledger's snapshot.
+	// The table is read per request, and a later WithLineage replaces
+	// an earlier one rather than competing with it.
 	_, api := testAPI(t, nil)
 	table := obs.LineageSnapshot{
 		Stages: []obs.StageSnapshot{
@@ -244,16 +246,28 @@ func TestLineageSnapshotOverride(t *testing.T) {
 		},
 		Conserved: true,
 	}
-	api.WithLineage(obs.NewLineage(nil)).WithLineageSnapshot(func() obs.LineageSnapshot { return table })
+	ledger := obs.NewLineage(nil)
+	calls := 0
+	api.WithLineage(func() obs.LineageSnapshot { return ledger.Snapshot(10) }).
+		WithLineage(func() obs.LineageSnapshot {
+			calls++
+			return table
+		})
 	var resp struct {
 		Enabled bool                 `json:"enabled"`
 		Lineage *obs.LineageSnapshot `json:"lineage"`
 	}
-	get(t, api, "/v1/lineage", &resp)
-	if !resp.Enabled || resp.Lineage == nil {
-		t.Fatalf("lineage override disabled: %+v", resp)
-	}
-	if len(resp.Lineage.Stages) != 2 || resp.Lineage.Stages[1].Stage != "cluster" {
-		t.Fatalf("lineage override not served: %+v", resp.Lineage)
+	for i := 1; i <= 2; i++ {
+		resp.Lineage = nil
+		get(t, api, "/v1/lineage", &resp)
+		if !resp.Enabled || resp.Lineage == nil {
+			t.Fatalf("lineage backing disabled: %+v", resp)
+		}
+		if len(resp.Lineage.Stages) != 2 || resp.Lineage.Stages[1].Stage != "cluster" {
+			t.Fatalf("lineage table not served: %+v", resp.Lineage)
+		}
+		if calls != i {
+			t.Fatalf("request %d read the table %d times", i, calls)
+		}
 	}
 }

@@ -70,12 +70,7 @@ type API struct {
 	// panic recovery).
 	log *slog.Logger
 	// lineage backs /v1/lineage (WithLineage; nil reports disabled).
-	lineage *obs.Lineage
-	// lineageSnap overrides the ledger with a precomputed table
-	// (WithLineageSnapshot) — the coordinator serves its merged
-	// cluster lineage this way, since it holds snapshots from remote
-	// workers rather than a live ledger.
-	lineageSnap func() obs.LineageSnapshot
+	lineage func() obs.LineageSnapshot
 	// role/node identify this process in healthz (WithNode): "single"
 	// (default), "worker" or "coordinator", plus the node id.
 	role string
@@ -161,18 +156,12 @@ func (a *API) WithLogger(log *slog.Logger) *API {
 	return a
 }
 
-// WithLineage attaches the run's lineage ledger, backing /v1/lineage;
-// returns a for chaining. Safe to call only before serving.
-func (a *API) WithLineage(l *obs.Lineage) *API {
-	a.lineage = l
-	return a
-}
-
-// WithLineageSnapshot backs /v1/lineage with a precomputed table
-// instead of a live ledger — the coordinator's merged cluster lineage.
-// Takes precedence over WithLineage. Safe to call only before serving.
-func (a *API) WithLineageSnapshot(fn func() obs.LineageSnapshot) *API {
-	a.lineageSnap = fn
+// WithLineage backs /v1/lineage with fn, called once per request: a
+// node passes its ledger's Snapshot, the coordinator its merged
+// cluster table. Returns a for chaining. Safe to call only before
+// serving.
+func (a *API) WithLineage(fn func() obs.LineageSnapshot) *API {
+	a.lineage = fn
 	return a
 }
 
@@ -459,13 +448,8 @@ type lineageResponse struct {
 
 func (a *API) handleLineage(w http.ResponseWriter, _ *http.Request, snap *sink.Snapshot) {
 	resp := lineageResponse{Epoch: snap.Epoch}
-	switch {
-	case a.lineageSnap != nil:
-		ls := a.lineageSnap()
-		resp.Enabled = true
-		resp.Lineage = &ls
-	case a.lineage != nil:
-		ls := a.lineage.Snapshot(10)
+	if a.lineage != nil {
+		ls := a.lineage()
 		resp.Enabled = true
 		resp.Lineage = &ls
 	}
