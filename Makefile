@@ -16,9 +16,10 @@ help:
 	@echo "           shared Router: pooled scratch, sharded path cache and"
 	@echo "           parallel per-car workers all run under the race detector)"
 	@echo "  ci       the full gate CI runs: gofmt check + build + vet +"
-	@echo "           test + race, the cross-mode gates at -cpu 1,2,4, then"
-	@echo "           build + vet of the perfbench/ module, which ./..."
-	@echo "           skips"
+	@echo "           test + race, the cross-mode and ingest round gates"
+	@echo "           at -cpu 1,2,4, the round gates again under -race"
+	@echo "           -count=10, then build + vet of the perfbench/"
+	@echo "           module, which ./... skips"
 	@echo "  fuzz     run every native fuzz target for FUZZTIME (default 30s)"
 	@echo "           each; seed corpora live in testdata/fuzz/"
 	@echo "  bench    run every benchmark with -benchmem"
@@ -74,6 +75,10 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
+# The ingest engine's round hand-off gates: two rounds in flight, their
+# fold order, and where a round's stage panic is raised.
+ROUND_TESTS := PushOverlapsRunningRound|RoundPanicRaisedOnceByFirstWaiter|RoundPanicKeepsFoldOrder|RoundsOverlapLikeAdvanceEveryPush
+
 # perfbench/ is a module of its own, so ./... never compiles it; these
 # are perfbench/run.sh's offline module settings.
 PERFBENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
@@ -83,10 +88,12 @@ PERFBENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
 # through git keeps build products such as .bench_build/ out). The
 # -cpu line reruns the cross-mode gates (cluster = single node, streamed
 # = batch), the ingest flush's parallel-analysis, ordered-fold gate and
-# its round hand-off gate at several core counts: an answer that
-# depends on GOMAXPROCS fails there. The last two lines build and vet
-# the benchmark against this checkout, so a change to a name it uses
-# fails here rather than when the benchmark runs; they write no files.
+# its round hand-off gates at several core counts: an answer that
+# depends on GOMAXPROCS fails there. The -race -count=10 line repeats
+# the hand-off gates, where two rounds run at once, under the race
+# detector. The last two lines build and vet the benchmark against
+# this checkout, so a change to a name it uses fails here rather than
+# when the benchmark runs; they write no files.
 ci:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -94,7 +101,8 @@ ci:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -cpu 1,2,4 -run 'MatchesSingleNode|MatchesBatch|FlushIsSequentialFold|PushOverlapsRunningRound' ./internal/cluster ./internal/ingest ./internal/sink
+	$(GO) test -cpu 1,2,4 -run 'MatchesSingleNode|MatchesBatch|FlushIsSequentialFold|$(ROUND_TESTS)' ./internal/cluster ./internal/ingest ./internal/sink
+	$(GO) test -race -count=10 -run '$(ROUND_TESTS)|FlushIsSequentialFold' ./internal/ingest
 	$(PERFBENCH_ENV) $(GO) build -C perfbench -o /dev/null .
 	$(PERFBENCH_ENV) $(GO) vet -C perfbench ./...
 

@@ -112,7 +112,7 @@ func Repair(t *trace.Trip, cfg Config) Result {
 	byID := append([]trace.RoutePoint(nil), pts...)
 	sort.SliceStable(byID, func(i, j int) bool { return byID[i].PointID < byID[j].PointID })
 	byTime := append([]trace.RoutePoint(nil), pts...)
-	sort.SliceStable(byTime, func(i, j int) bool { return byTime[i].Time.Before(byTime[j].Time) })
+	sort.SliceStable(byTime, func(i, j int) bool { return timeBefore(byTime[i], byTime[j]) })
 
 	lenID := trace.PathLength(byID)
 	lenTime := trace.PathLength(byTime)
@@ -223,7 +223,7 @@ func filterValid(pts []trace.RoutePoint, cfg Config, drops *DropStats) []trace.R
 	// Spike filter in timestamp order: a point requiring impossible
 	// speed from its accepted predecessor is discarded.
 	byTime := append([]trace.RoutePoint(nil), out...)
-	sort.SliceStable(byTime, func(i, j int) bool { return byTime[i].Time.Before(byTime[j].Time) })
+	sort.SliceStable(byTime, func(i, j int) bool { return timeBefore(byTime[i], byTime[j]) })
 	bad := map[int]bool{}
 	last := byTime[0]
 	for _, p := range byTime[1:] {
@@ -251,6 +251,15 @@ func filterValid(pts []trace.RoutePoint, cfg Config, drops *DropStats) []trace.R
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// timeBefore orders points by timestamp, then point id, so the order of
+// points that share a timestamp does not depend on their arrival order.
+func timeBefore(a, b trace.RoutePoint) bool {
+	if !a.Time.Equal(b.Time) {
+		return a.Time.Before(b.Time)
+	}
+	return a.PointID < b.PointID
+}
 
 // realign rewrites the chosen sequence so every keyed property
 // increases monotonically: point ids are renumbered 1..n and the

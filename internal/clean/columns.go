@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -104,8 +105,8 @@ func RepairColumns(v trace.ColTrip, cfg Config, a *trace.Arena, s *Scratch) ColR
 	// Candidate orderings of the surviving points. s.byTM already holds
 	// the timestamp ordering from the spike filter (or is rebuilt here
 	// for short trips that skipped it); removing spike points preserved
-	// the relative order, which is exactly what a fresh stable sort of
-	// the survivors would produce.
+	// the relative order, which is exactly what a fresh sort of the
+	// survivors would produce.
 	s.byID = append(s.byID[:0], s.valid...)
 	slices.SortStableFunc(s.byID, func(i, j int32) int {
 		return int(v.PointID(int(i))) - int(v.PointID(int(j)))
@@ -311,19 +312,15 @@ func spikeScan(v trace.ColTrip, cfg Config, bad []bool) int {
 	return drops
 }
 
-// sortByTime stable-sorts view indices by timestamp, preserving
-// arrival order on ties exactly like sort.SliceStable with
-// Time.Before.
+// sortByTime sorts view indices by timestamp, then point id, exactly
+// like timeBefore on rows: the order of points that share a timestamp
+// does not depend on their arrival order.
 func sortByTime(v trace.ColTrip, idx []int32) {
 	slices.SortStableFunc(idx, func(i, j int32) int {
-		a, b := v.TimeNs(int(i)), v.TimeNs(int(j))
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
+		if c := cmp.Compare(v.TimeNs(int(i)), v.TimeNs(int(j))); c != 0 {
+			return c
 		}
-		return 0
+		return cmp.Compare(v.PointID(int(i)), v.PointID(int(j)))
 	})
 }
 

@@ -369,14 +369,13 @@ func checkLineage(t *testing.T, lin *obs.Lineage, st Stats) {
 // committing into the pipeline's ledger or registry as well would show
 // up as doubled batch counts.
 //
-// The shuffled replay differs from batch in the two counters of the
-// cleaner's ordering decision, which read the arrival order:
-// pipeline_clean_reordered counts trips whose arrival order needed
-// repair, and pipeline_clean_chose_time follows the timestamp sort,
-// which is stable and so breaks a repeated timestamp in arrival order
-// (one trip of this fleet, car 13's 13000001, repeats a timestamp and
-// picks the timestamp order only when shuffled). The ordered replay
-// matches batch in every series.
+// The shuffled replay differs from batch only in
+// pipeline_clean_reordered, which counts trips whose arrival order
+// needed repair and so reads the arrival order by definition. The
+// cleaner's ordering decision, pipeline_clean_chose_time, must match:
+// its timestamp sort breaks ties by point id, so a repeated timestamp
+// (car 13's trip 13000001 has one) orders the same however its points
+// arrive. The ordered replay matches batch in every series.
 func TestStreamedLedgerMatchesBatch(t *testing.T) {
 	batchReg := obs.NewRegistry()
 	batchLin := obs.NewLineage(batchReg)
@@ -450,7 +449,7 @@ var ledgerCounters = []string{
 
 // arrivalOrderCounters are the ledger's counters that read a trip's
 // arrival order (see TestStreamedLedgerMatchesBatch).
-var arrivalOrderCounters = []string{"pipeline_clean_reordered", "pipeline_clean_chose_time"}
+var arrivalOrderCounters = []string{"pipeline_clean_reordered"}
 
 // stageCounts returns the registry's per-trip stage count series: the
 // lineage_* series of the per-trip rows and the ledger's counters.
@@ -564,7 +563,7 @@ func (fx *diffFixture) checkSequentialFold(t *testing.T, pts []Point, every int)
 		if absorbed {
 			ref.Publish()
 		}
-		e.flush(closed)
+		e.flush(closed, nil)
 		sameSnapshotBits(t, snk.Snapshot(), ref.Snapshot())
 	}
 	if every <= 0 {

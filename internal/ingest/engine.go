@@ -28,10 +28,12 @@ type Config struct {
 	// Sink receives flushed transitions; trips close into it and a new
 	// epoch is published after every flush round, so live snapshots
 	// advance as the watermark does. A round flushes on a goroutine of
-	// its own: a push returns once its round has started, and Advance
-	// and Close return once it has published. Nil runs the engine
-	// without a serving layer (the differential tests read Stats
-	// instead).
+	// its own and analyses its trips while the round before it may
+	// still run, but folds and publishes only after that round has
+	// published, so epochs follow step order. A push returns once its
+	// round has started; Advance and Close return once every round in
+	// flight has published. Nil runs the engine without a serving layer
+	// (the differential tests read Stats instead).
 	Sink *sink.Sink
 	// AllowedLateness is how far behind a car's newest event time a
 	// point may arrive before it is dropped as late; it bounds the
@@ -120,13 +122,14 @@ type Engine struct {
 	met    engineMetrics
 
 	// stepMu orders watermark steps and their hand-offs: a step, its
-	// wait for the running round and the start of its own round happen
-	// under it, so rounds start, fold and publish in step order. A round
-	// never takes it, and it is never acquired while mu is held.
+	// wait for the older round in flight and the start of its own round
+	// happen under it, so rounds start, fold and publish in step order.
+	// A round never takes it, and it is never acquired while mu is held.
 	stepMu sync.Mutex
-	// running is the round the last hand-off started, until a caller
-	// has waited for it; guarded by stepMu.
-	running *round
+	// older and newer are the rounds in flight, in step order, until a
+	// caller has waited for them; guarded by stepMu. newer is the round
+	// the last hand-off started, and older is set only while newer is.
+	older, newer *round
 	// closeOnce makes Close idempotent: every car is completed in the
 	// sink exactly once, and a concurrent second caller returns only
 	// after the first has sealed.
@@ -249,9 +252,11 @@ func (e *Engine) Push(p Point) PushResult {
 // recomputation cadence is due. The trips a step closes flush in a
 // round on a goroutine of its own, so PushBatch returns once that
 // round has started, not once it has published; the producer admits
-// its next batch while the round runs. A step that closes trips while
-// the previous round still runs waits for it first: that wait is the
-// engine's backpressure.
+// its next batch while the round runs. At most two rounds are in
+// flight: a step that closes trips while two are still running waits
+// for the older first, and that wait is the engine's backpressure.
+// PushBatch raises the stage panic of the round it waited for, after
+// starting its own.
 func (e *Engine) PushBatch(pts []Point) PushResult {
 	res := PushResult{Received: len(pts)}
 	now := e.cfg.Now().UnixNano()
@@ -278,7 +283,9 @@ func (e *Engine) PushBatch(pts []Point) PushResult {
 	if due {
 		e.stepMu.Lock()
 		defer e.stepMu.Unlock()
-		e.step()
+		if p := e.step(); p != nil {
+			panic(p)
+		}
 	}
 	res.WatermarkMs = e.wm.Load()
 	return res
@@ -377,47 +384,66 @@ type closedTrip struct {
 }
 
 // round is one watermark round's flush, running on its own goroutine.
+// It holds no link to the round before it, which run takes as a
+// parameter instead, so a finished round keeps no earlier round
+// reachable and the rounds of a run form no chain.
 type round struct {
-	done     chan struct{} // closed once the round has published or panicked
+	done     chan struct{} // closed once the round and every round before it have finished
 	panicked any           // the stage panic the round recovered; read after done
 }
 
+// run flushes closed as round r. It analyses at once, folds only after
+// prev (the round started before it, nil if none is in flight) has
+// finished, and closes r.done only after prev.done, even when its own
+// analysis panicked: rounds publish and finish in step order.
+func (r *round) run(e *Engine, closed []closedTrip, prev *round) {
+	defer close(r.done)
+	defer func() {
+		r.panicked = recover()
+		if prev != nil {
+			<-prev.done
+		}
+	}()
+	e.flush(closed, prev)
+}
+
 // Advance recomputes the low watermark, hands the trips it closes to a
-// new round and returns once the running round has published. Push
+// new round and returns once every round in flight has published. Push
 // steps on the recomputation cadence without that wait; owners may
 // call Advance directly (e.g. on a wall-clock tick for slow streams)
 // and use it as a synchronisation point: every trip closed before it
-// returns has been folded into the ledger and the sink.
+// returns has been folded into the ledger and the sink. It raises the
+// stage panic of the oldest round in flight that recovered one.
 func (e *Engine) Advance() {
 	e.stepMu.Lock()
 	defer e.stepMu.Unlock()
-	e.step()
-	e.wait()
+	e.settle(e.step())
 }
 
 // step recomputes the watermark and hands the trips it closes to a new
-// round. The caller holds stepMu.
-func (e *Engine) step() {
+// round; it returns handOff's panic. The caller holds stepMu.
+func (e *Engine) step() any {
 	e.mu.Lock()
 	closed := e.advanceLocked()
 	e.mu.Unlock()
-	e.handOff(closed)
+	return e.handOff(closed)
 }
 
-// handOff starts the round that flushes closed. One round runs at a
-// time and none waits in a queue: if the previous round is still
-// running, handOff waits for it first and records the wait in
-// ingest_handoff_wait_seconds. A queue would only let trips closed
-// since then wait unpublished behind it, and hold their buffers. If the
-// previous round panicked, handOff raises that panic once its own round
-// has started, so none of the trips this step closed is lost. The
-// caller holds stepMu.
-func (e *Engine) handOff(closed []closedTrip) {
+// handOff starts the round that flushes closed. At most two rounds are
+// in flight and none waits in a queue: if two are, handOff first waits
+// for the older and records the wait in ingest_handoff_wait_seconds.
+// Two rounds let a round analyse its trips while the one before it
+// finishes; a queue would only let trips closed since then wait
+// unpublished behind them, and hold their buffers. handOff returns the
+// panic the older round recovered, if any, and the caller raises it:
+// the round has then started, so none of the trips this step closed is
+// lost. The caller holds stepMu.
+func (e *Engine) handOff(closed []closedTrip) any {
 	if len(closed) == 0 {
-		return
+		return nil
 	}
-	var prev any
-	if r := e.running; r != nil {
+	var p any
+	if r := e.older; r != nil {
 		select {
 		case <-r.done:
 		default:
@@ -425,31 +451,34 @@ func (e *Engine) handOff(closed []closedTrip) {
 			<-r.done
 			e.met.handoffWait.Observe(e.cfg.Now().Sub(start).Seconds())
 		}
-		prev = r.panicked
+		p = r.panicked
 	}
 	r := &round{done: make(chan struct{})}
-	e.running = r
-	go func() {
-		defer close(r.done)
-		defer func() { r.panicked = recover() }()
-		e.flush(closed)
-	}()
-	if prev != nil {
-		panic(prev)
-	}
+	go r.run(e, closed, e.newer)
+	e.older, e.newer = e.newer, r
+	return p
 }
 
-// wait returns once the running round, if any, has published, and
-// raises the panic it recovered. The caller holds stepMu.
-func (e *Engine) wait() {
-	r := e.running
-	if r == nil {
+// settle returns once every round in flight has published, then raises
+// p or, if p is nil, the panic of the oldest round that recovered one.
+// It forgets the rounds up to that one; a later round's panic stays for
+// the next call that waits for it. The caller holds stepMu.
+func (e *Engine) settle(p any) {
+	if e.newer == nil {
 		return
 	}
-	e.running = nil
-	<-r.done
-	if r.panicked != nil {
-		panic(r.panicked)
+	<-e.newer.done // closes only after the older round's done
+	for p == nil && e.newer != nil {
+		r := e.older
+		if r != nil {
+			e.older = nil
+		} else {
+			r, e.newer = e.newer, nil
+		}
+		p = r.panicked
+	}
+	if p != nil {
+		panic(p)
 	}
 }
 
@@ -549,15 +578,19 @@ func (e *Engine) advanceLocked() []closedTrip {
 }
 
 // flush is a round's body: it analyses the round's closed trips
-// (analyse), then folds them in closed's order: each trip's stats
-// commit into the engine's ledger and its transitions absorb into the
-// sink, and one new epoch is published for the round. The fold stays
-// sequential and rounds run one at a time in step order (handOff), so
-// the sink and the ledger see the same sequence at any core count.
-// It runs without e.mu, concurrently with admission.
-func (e *Engine) flush(closed []closedTrip) {
+// (analyse), waits until prev, if any, has finished, then folds them
+// in closed's order: each trip's stats commit into the engine's ledger
+// and its transitions absorb into the sink, and one new epoch is
+// published for the round. The fold stays sequential and rounds fold
+// one at a time in step order, so the sink and the ledger see the same
+// sequence at any core count. It runs without e.mu, concurrently with
+// admission and with the other round in flight; only folds are ordered.
+func (e *Engine) flush(closed []closedTrip, prev *round) {
 	start := e.cfg.Now()
 	results := e.analyse(closed)
+	if prev != nil {
+		<-prev.done
+	}
 	absorbed := false
 	for i, ct := range closed {
 		cr := &results[i].cr
@@ -655,10 +688,12 @@ func (e *Engine) analyse(closed []closedTrip) []tripResult {
 // Close ends the stream: the watermark jumps to +infinity, every
 // buffered trip flushes, each car is completed in the sink, and the
 // sink (when attached) seals its final snapshot. Close returns once
-// the last round has published and the sink is sealed. Points pushed
-// after Close are dropped as stale (late, or idle_resumed for a car
-// resuming past everything it sent) and start no round. Only the
-// first call does the work; later calls return once it is done.
+// every round in flight has published and the sink is sealed; if a
+// round's stage panic is still to be raised, Close raises it instead
+// of sealing. Points pushed after Close are dropped as stale (late, or
+// idle_resumed for a car resuming past everything it sent) and start no
+// round. Only the first call does the work; later calls return once it
+// is done.
 func (e *Engine) Close() { e.closeOnce.Do(e.close) }
 
 func (e *Engine) close() {
@@ -673,8 +708,7 @@ func (e *Engine) close() {
 	}
 	slices.Sort(carIDs)
 	e.mu.Unlock()
-	e.handOff(closed)
-	e.wait()
+	e.settle(e.handOff(closed))
 
 	if e.cfg.Sink != nil {
 		for _, car := range carIDs {
@@ -701,8 +735,8 @@ type Stats struct {
 	Received uint64
 	Admitted uint64
 	Dropped  map[obs.DropReason]uint64
-	// ClosedTrips counts the trips watermark steps have closed, the
-	// running round's included.
+	// ClosedTrips counts the trips watermark steps have closed, those of
+	// the rounds in flight included.
 	ClosedTrips    uint64
 	OpenTrips      int
 	BufferedPoints int // admitted points of the open trips

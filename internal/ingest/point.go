@@ -35,11 +35,12 @@
 // Flush model: a watermark step runs on the caller's goroutine and
 // decides the watermark, which trips close and every drop reason; the
 // trips it closes flush in a round (the stages, one ordered fold into
-// the ledger and the sink, one publish) on a goroutine of its own. One
-// round runs at a time and rounds publish in step order, so a push
-// returns once its round has started, and a step that closes trips
-// while the previous round runs waits for it first. Advance and Close
-// return once the running round has published.
+// the ledger and the sink, one publish) on a goroutine of its own, so a
+// push returns once its round has started. At most two rounds are in
+// flight: the newer analyses its trips while the older finishes, and
+// folds and publishes after it, so rounds publish in step order. A step
+// that closes trips while two rounds run waits for the older first.
+// Advance and Close return once every round in flight has published.
 package ingest
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net/http"
+	"sync"
 
 	"repro/internal/ingest"
 	"repro/internal/obs"
@@ -22,6 +23,11 @@ import (
 // lock acquisition; it amortises admission without letting a huge body
 // buffer unboundedly before first feedback.
 const ingestBatch = 512
+
+// bodyReaders pools the 64 KiB readers POST /v1/ingest reads bodies
+// through, so a request does not allocate one; ingest.NewBinaryReader
+// reads through a reader that large rather than wrapping it again.
+var bodyReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
 
 // WithIngest attaches the streaming engine, registering the POST
 // /v1/ingest and /v1/ingest/close endpoints; returns a for chaining.
@@ -51,7 +57,12 @@ type ingestResponse struct {
 }
 
 func (a *API) handleIngest(w http.ResponseWriter, r *http.Request, e *ingest.Engine) {
-	br := bufio.NewReaderSize(r.Body, 1<<16)
+	br := bodyReaders.Get().(*bufio.Reader)
+	br.Reset(r.Body)
+	defer func() {
+		br.Reset(nil) // drop the body: a pooled reader must not keep it alive
+		bodyReaders.Put(br)
+	}()
 	head, _ := br.Peek(8)
 
 	// A body that pushes nothing still reports the current watermark.
