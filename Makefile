@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench perfbench bench-runner bench-serve bench-fleet bench-obs bench-ingest bench-cluster bench-predict bench-router race ci fuzz profile results examples clean help
+.PHONY: all build test vet bench perfbench bench-runner bench-serve bench-fleet bench-obs bench-ingest bench-cluster bench-predict bench-router race ci fuzz profile results results-check examples clean help
 
 all: build vet test
 
@@ -16,10 +16,10 @@ help:
 	@echo "           shared Router: pooled scratch, sharded path cache and"
 	@echo "           parallel per-car workers all run under the race detector)"
 	@echo "  ci       the full gate CI runs: gofmt check + build + vet +"
-	@echo "           test + race, the cross-mode and ingest round gates"
-	@echo "           at -cpu 1,2,4, the round gates again under -race"
-	@echo "           -count=10, then build + vet of the perfbench/"
-	@echo "           module, which ./... skips"
+	@echo "           test + results-check + race, the cross-mode and"
+	@echo "           ingest round gates at -cpu 1,2,4, the round gates"
+	@echo "           again under -race -count=10, then build + vet of the"
+	@echo "           perfbench/ module, which ./... skips"
 	@echo "  fuzz     run every native fuzz target for FUZZTIME (default 30s)"
 	@echo "           each; seed corpora live in testdata/fuzz/"
 	@echo "  bench    run every benchmark with -benchmem"
@@ -56,6 +56,10 @@ help:
 	@echo "  profile  run a large taxiflow workload with -debug-addr and"
 	@echo "           capture a 10 s CPU profile into cpu.pprof"
 	@echo "  results  regenerate all paper tables/figures into results/"
+	@echo "  results-check  rerun the results recipe into a temporary"
+	@echo "           directory and fail, naming each file, unless every"
+	@echo "           file it writes is byte-identical to results/ (checked"
+	@echo "           on amd64)"
 	@echo "  examples run every example program"
 	@echo "  clean    remove scratch output"
 
@@ -85,7 +89,8 @@ PERFBENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
 
 # The full gate: what .github/workflows/ci.yml runs on every push/PR.
 # The first line fails on any tracked Go file gofmt would change (listing
-# through git keeps build products such as .bench_build/ out). The
+# through git keeps build products such as .bench_build/ out).
+# results-check fails when results/ is not what the code writes. The
 # -cpu line reruns the cross-mode gates (cluster = single node, streamed
 # = batch), the ingest flush's parallel-analysis, ordered-fold gate and
 # its round hand-off gates at several core counts: an answer that
@@ -100,6 +105,7 @@ ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(MAKE) --no-print-directory results-check
 	$(GO) test -race ./...
 	$(GO) test -cpu 1,2,4 -run 'MatchesSingleNode|MatchesBatch|FlushIsSequentialFold|$(ROUND_TESTS)' ./internal/cluster ./internal/ingest ./internal/sink
 	$(GO) test -race -count=10 -run '$(ROUND_TESTS)|FlushIsSequentialFold' ./internal/ingest
@@ -252,6 +258,25 @@ bench-router:
 # Regenerate every paper table and figure (plus ablations) into results/.
 results:
 	$(GO) run ./cmd/experiments -scale paper -ablations -out results
+
+# results/ is what the code writes: rerun `make results` into a
+# temporary directory and compare every file the run writes with its
+# copy in results/, byte for byte, naming each one that differs or is
+# missing. The run writes no BENCH_*.json snapshot and no
+# bench_fleet_seed.txt, so those are not compared. Checked on amd64 at
+# GOMAXPROCS 1 and 2; another GOARCH may fuse multiply-adds and move a
+# last digit.
+results-check:
+	@dir=$$(mktemp -d); log=$$(mktemp); trap 'rm -rf "$$dir" "$$log"' EXIT; \
+	$(GO) run ./cmd/experiments -scale paper -ablations -out "$$dir" >"$$log" 2>&1 || { cat "$$log"; exit 1; }; \
+	bad=0; \
+	for f in "$$dir"/*; do \
+		b=$${f##*/}; \
+		if [ ! -e "results/$$b" ]; then echo "results-check: results/$$b is missing"; bad=1; \
+		elif ! cmp -s "$$f" "results/$$b"; then echo "results-check: results/$$b differs from a fresh run"; bad=1; fi; \
+	done; \
+	if [ $$bad -ne 0 ]; then echo "results-check: run make results and commit what changed"; exit 1; fi; \
+	echo "results-check: all $$(ls "$$dir" | wc -l) files the run writes match results/"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -65,13 +65,48 @@ func BenchmarkTable1GraphBuild(b *testing.B) {
 
 func BenchmarkTable2Segmentation(b *testing.B) {
 	env := benchEnvironment(b)
-	raw := env.P.Gen.CarTrips(1)
-	cleaned := clean.Trips(clean.RepairAll(raw, clean.Config{}))
+	a := trace.NewArena(0)
+	var sc clean.Scratch
+	var cleaned []trace.ColTrip
+	for _, v := range rawViews(b, env.P.Gen.CarTrips(1)) {
+		if r := clean.RepairColumns(v, clean.Config{}, a, &sc); r.Trip.N > 0 {
+			cleaned = append(cleaned, r.Trip)
+		}
+	}
 	rules := segment.DefaultRules()
+	var segs []trace.ColTrip
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		segment.SplitAll(cleaned, rules, nil)
+		segs = segs[:0]
+		for _, v := range cleaned {
+			segs = segment.SplitColumns(v, rules, nil, segs)
+		}
+	}
+}
+
+// rawViews copies a car's raw trips into one arena, as the stage
+// driver does before cleaning.
+func rawViews(b *testing.B, trips []*trace.Trip) []trace.ColTrip {
+	b.Helper()
+	a := trace.NewArena(0)
+	views := make([]trace.ColTrip, 0, len(trips))
+	for _, t := range trips {
+		v, err := a.AppendTrip(t)
+		if err != nil {
+			b.Fatal(err)
+		}
+		views = append(views, v)
+	}
+	return views
+}
+
+// cleanAll cleans every view into out, reset first, as the stage
+// driver cleans a car.
+func cleanAll(views []trace.ColTrip, out *trace.Arena, sc *clean.Scratch) {
+	out.Reset()
+	for _, v := range views {
+		clean.RepairColumns(v, clean.Config{}, out, sc)
 	}
 }
 
@@ -241,9 +276,13 @@ func BenchmarkAblationOrderingRepair(b *testing.B) {
 	env := benchEnvironment(b)
 	raw := env.P.Gen.CarTrips(3)
 	b.Run("min-distance", func(b *testing.B) {
+		views := rawViews(b, raw)
+		out := trace.NewArena(0)
+		var sc clean.Scratch
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			clean.RepairAll(raw, clean.Config{})
+			cleanAll(views, out, &sc)
 		}
 	})
 	b.Run("timestamp-only", func(b *testing.B) {
@@ -386,11 +425,13 @@ func BenchmarkAblationSpatialIndex(b *testing.B) {
 // BenchmarkCleanRepair isolates the cleaning stage.
 func BenchmarkCleanRepair(b *testing.B) {
 	env := benchEnvironment(b)
-	raw := env.P.Gen.CarTrips(4)
+	views := rawViews(b, env.P.Gen.CarTrips(4))
+	out := trace.NewArena(0)
+	var sc clean.Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clean.RepairAll(raw, clean.Config{})
+		cleanAll(views, out, &sc)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Data cleaning: the paper's §IV-B stage in isolation. Builds a trip
 // whose route points arrive shuffled with corrupted metadata and a GPS
-// spike, then shows how the min-total-distance rule, the validity
-// filters, and gap interpolation recover a reliable trajectory.
+// spike, then shows how the min-total-distance rule and the validity
+// filters recover a reliable trajectory.
 package main
 
 import (
@@ -47,7 +47,8 @@ func main() {
 	spike.Pos = geo.V(spike.Pos.X+5000, spike.Pos.Y-3000)
 	spike.Time = tr.Points[7].Time.Add(3 * time.Second)
 	tr.Points = append(tr.Points, spike)
-	// 3. one record is lost in transmission, leaving a 40 s hole;
+	// 3. one record is lost in transmission, leaving a 40 s hole (the
+	//    cleaner keeps holes as they are);
 	tr.Points = append(tr.Points[:10], tr.Points[11:]...)
 	// 4. transmission latency shuffles the arrival order.
 	rng.Shuffle(len(tr.Points), func(i, j int) {
@@ -57,24 +58,26 @@ func main() {
 	fmt.Printf("as received : %d points, path length in arrival order %.0f m\n",
 		len(tr.Points), trace.PathLength(tr.Points))
 
-	r := clean.Repair(&tr, clean.Config{})
+	// The stage's kernel reads an arena-backed view of the trip and
+	// appends the cleaned points to the same arena.
+	arena := trace.NewArena(len(tr.Points))
+	v, err := arena.AppendTrip(&tr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var scratch clean.Scratch
+	r := clean.RepairColumns(v, clean.Config{}, arena, &scratch)
+	cleaned := r.Trip.Materialize(true)
 	fmt.Printf("\ncleaning chose the %s ordering\n", r.ChosenOrder)
 	fmt.Printf("  length sorted by id:        %.0f m\n", r.LengthByID)
 	fmt.Printf("  length sorted by timestamp: %.0f m\n", r.LengthByTime)
 	fmt.Printf("  dropped %d invalid point(s) (the spike)\n", r.Dropped)
 	fmt.Printf("  cleaned length %.0f m vs truth %.0f m\n",
-		trace.PathLength(r.Trip.Points), wantLen)
+		trace.PathLength(cleaned.Points), wantLen)
 
-	// Gap restoration (Jiang et al. [17]): the lost record left a 40 s
-	// hole; interpolation fills moderate gaps for smoother analysis.
-	restoredTrip, restored := clean.Interpolate(r.Trip, clean.InterpolateConfig{
-		MaxGap: 30 * time.Second, MaxRestorable: 2 * time.Minute, Step: 15 * time.Second,
-	})
-	fmt.Printf("\ninterpolation restored %d point(s); final trip has %d points\n",
-		restored, len(restoredTrip.Points))
-	for i := 1; i < len(restoredTrip.Points); i++ {
-		a, b := restoredTrip.Points[i-1], restoredTrip.Points[i]
-		if b.Time.Before(a.Time) || b.FuelMl < a.FuelMl {
+	for i := 1; i < len(cleaned.Points); i++ {
+		a, b := cleaned.Points[i-1], cleaned.Points[i]
+		if b.PointID != a.PointID+1 || b.Time.Before(a.Time) || b.FuelMl < a.FuelMl || b.DistM < a.DistM {
 			log.Fatal("monotonicity violated — cleaning failed")
 		}
 	}

@@ -163,7 +163,7 @@ func (v *Validator) RawTrips(car int, trips []*trace.Trip) error {
 // CleanedTrips validates the cleaning boundary (§IV-B): every surviving
 // trip has strictly increasing point ids, non-decreasing timestamps and
 // cumulative measurements, and no non-finite coordinate or measurement —
-// the monotonicity contract clean.Repair's realignment promises.
+// the monotonicity contract clean.RepairColumns's realignment promises.
 func (v *Validator) CleanedTrips(car int, trips []*trace.Trip) error {
 	if v == nil {
 		return nil

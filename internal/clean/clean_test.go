@@ -31,9 +31,37 @@ func straightTrip(n int) *trace.Trip {
 	return tr
 }
 
+// repair is how the hand-built tests clean a trip: through
+// CheckedRepair, so that the production kernel and the oracle both run
+// and must agree, returning the production result as rows. A trip the
+// arena refuses (one with a zero timestamp, say) runs on the oracle
+// alone. Production never sees such a trip: the trace readers and
+// ingest refuse its points, and the stage driver fails its car at
+// stage simulate.
+func repair(t testing.TB, tr *trace.Trip, cfg Config) Result {
+	t.Helper()
+	col, err := CheckedRepair(t, tr, cfg)
+	if err != nil {
+		t.Logf("oracle only: %v", err)
+		return Repair(tr, cfg)
+	}
+	r := Result{
+		ChosenOrder:  col.ChosenOrder,
+		LengthByID:   col.LengthByID,
+		LengthByTime: col.LengthByTime,
+		Reordered:    col.Reordered,
+		Dropped:      col.Dropped,
+		Drops:        col.Drops,
+	}
+	if col.Trip.N > 0 {
+		r.Trip = col.Trip.Materialize(true)
+	}
+	return r
+}
+
 func TestRepairCleanTripUnchanged(t *testing.T) {
 	tr := straightTrip(6)
-	r := Repair(tr, Config{})
+	r := repair(t, tr, Config{})
 	if r.Trip == nil || r.Dropped != 0 || r.Reordered {
 		t.Fatalf("clean trip mangled: %+v", r)
 	}
@@ -51,10 +79,10 @@ func TestRepairDoesNotModifyInput(t *testing.T) {
 	tr := straightTrip(5)
 	tr.Points[1], tr.Points[3] = tr.Points[3], tr.Points[1] // shuffled arrival
 	snapshot := append([]trace.RoutePoint(nil), tr.Points...)
-	Repair(tr, Config{})
+	repair(t, tr, Config{})
 	for i := range snapshot {
 		if tr.Points[i] != snapshot[i] {
-			t.Fatal("Repair mutated its input")
+			t.Fatal("cleaning mutated its input")
 		}
 	}
 }
@@ -65,7 +93,7 @@ func TestRepairArrivalShuffle(t *testing.T) {
 	rng.Shuffle(len(tr.Points), func(i, j int) {
 		tr.Points[i], tr.Points[j] = tr.Points[j], tr.Points[i]
 	})
-	r := Repair(tr, Config{})
+	r := repair(t, tr, Config{})
 	if !r.Reordered {
 		t.Fatal("shuffled trip not flagged as reordered")
 	}
@@ -80,7 +108,7 @@ func TestRepairPicksTimestampWhenIDsGlitched(t *testing.T) {
 	tr := straightTrip(8)
 	// Swap ids of points 3 and 4 (0-based 2,3): id ordering zigzags.
 	tr.Points[2].PointID, tr.Points[3].PointID = tr.Points[3].PointID, tr.Points[2].PointID
-	r := Repair(tr, Config{})
+	r := repair(t, tr, Config{})
 	if r.ChosenOrder != OrderByTime {
 		t.Fatalf("chose %v, want timestamp (lenID=%f lenTime=%f)",
 			r.ChosenOrder, r.LengthByID, r.LengthByTime)
@@ -97,7 +125,7 @@ func TestRepairPicksTimestampWhenIDsGlitched(t *testing.T) {
 func TestRepairPicksIDWhenTimestampsGlitched(t *testing.T) {
 	tr := straightTrip(8)
 	tr.Points[4].Time, tr.Points[5].Time = tr.Points[5].Time, tr.Points[4].Time
-	r := Repair(tr, Config{})
+	r := repair(t, tr, Config{})
 	if r.ChosenOrder != OrderByID {
 		t.Fatalf("chose %v, want id", r.ChosenOrder)
 	}
@@ -111,7 +139,7 @@ func TestRealignMonotonicity(t *testing.T) {
 	// Corrupt both timestamps (swap) and shuffle arrival.
 	tr.Points[4].Time, tr.Points[5].Time = tr.Points[5].Time, tr.Points[4].Time
 	tr.Points[0], tr.Points[6] = tr.Points[6], tr.Points[0]
-	r := Repair(tr, Config{})
+	r := repair(t, tr, Config{})
 	pts := r.Trip.Points
 	for i := 1; i < len(pts); i++ {
 		if pts[i].PointID != pts[i-1].PointID+1 {
@@ -131,7 +159,7 @@ func TestFilterDropsInvalid(t *testing.T) {
 	tr.Points[1].Pos = geo.V(math.NaN(), 0)
 	tr.Points[2].SpeedKmh = math.Inf(1)
 	tr.Points[3].Time = time.Time{}
-	r := Repair(tr, Config{})
+	r := repair(t, tr, Config{})
 	if r.Dropped != 3 {
 		t.Fatalf("dropped %d, want 3", r.Dropped)
 	}
@@ -143,7 +171,7 @@ func TestFilterDropsInvalid(t *testing.T) {
 func TestFilterDropsDuplicateIDs(t *testing.T) {
 	tr := straightTrip(5)
 	tr.Points[3].PointID = tr.Points[2].PointID
-	r := Repair(tr, Config{})
+	r := repair(t, tr, Config{})
 	if r.Dropped != 1 || len(r.Trip.Points) != 4 {
 		t.Fatalf("dup handling: dropped=%d kept=%d", r.Dropped, len(r.Trip.Points))
 	}
@@ -152,7 +180,7 @@ func TestFilterDropsDuplicateIDs(t *testing.T) {
 func TestFilterDropsGPSSpike(t *testing.T) {
 	tr := straightTrip(7)
 	tr.Points[3].Pos = geo.V(300, 50000) // 50 km sideways in 30 s
-	r := Repair(tr, Config{})
+	r := repair(t, tr, Config{})
 	if r.Dropped != 1 {
 		t.Fatalf("spike not dropped: %+v", r)
 	}
@@ -166,36 +194,21 @@ func TestFilterDropsGPSSpike(t *testing.T) {
 func TestFilterArea(t *testing.T) {
 	tr := straightTrip(6)
 	cfg := Config{Area: geo.R(-10, -10, 250, 10)}
-	r := Repair(tr, cfg)
+	r := repair(t, tr, cfg)
 	if len(r.Trip.Points) != 3 || r.Dropped != 3 {
 		t.Fatalf("area filter kept %d dropped %d", len(r.Trip.Points), r.Dropped)
 	}
 }
 
 func TestRepairEmptyAndSingle(t *testing.T) {
-	r := Repair(&trace.Trip{ID: 1}, Config{})
+	r := repair(t, &trace.Trip{ID: 1}, Config{})
 	if r.Trip != nil {
 		t.Fatal("empty trip must yield nil")
 	}
 	tr := straightTrip(1)
-	r = Repair(tr, Config{})
+	r = repair(t, tr, Config{})
 	if r.Trip == nil || len(r.Trip.Points) != 1 {
 		t.Fatalf("single-point trip mishandled: %+v", r)
-	}
-}
-
-func TestRepairAllAndTrips(t *testing.T) {
-	batch := []*trace.Trip{straightTrip(5), {ID: 9}, straightTrip(3)}
-	results := RepairAll(batch, Config{})
-	if len(results) != 3 {
-		t.Fatalf("RepairAll returned %d results, want one per trip (3)", len(results))
-	}
-	if results[1].Trip != nil {
-		t.Fatal("empty trip must yield a nil-Trip result")
-	}
-	trips := Trips(results)
-	if len(trips) != 2 {
-		t.Fatalf("Trips = %d", len(trips))
 	}
 }
 
@@ -208,7 +221,7 @@ func TestDropStatsAttribution(t *testing.T) {
 	tr.Points[4].Pos = geo.V(tr.Points[4].Pos.X, 1e7) // spike (inside area)
 	tr.Points[6].Pos = geo.V(-9e5, 0)                 // out_of_area
 	cfg := Config{Area: geo.R(-1e4, -1e4, 1e4, 2e7)}
-	r := Repair(tr, cfg)
+	r := repair(t, tr, cfg)
 	want := DropStats{NonFinite: 1, OutOfArea: 1, DuplicateID: 1, Spike: 1}
 	if r.Drops != want {
 		t.Fatalf("Drops = %+v, want %+v", r.Drops, want)
@@ -255,7 +268,7 @@ func TestRepairRecoversTruePathProperty(t *testing.T) {
 		rng.Shuffle(len(tr.Points), func(a, b int) {
 			tr.Points[a], tr.Points[b] = tr.Points[b], tr.Points[a]
 		})
-		r := Repair(tr, Config{MaxSpeedKmh: 1e9})
+		r := repair(t, tr, Config{MaxSpeedKmh: 1e9})
 		return math.Abs(trace.PathLength(r.Trip.Points)-want) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -272,16 +285,16 @@ func TestNaNConfigDoesNotDisableSpikeFilter(t *testing.T) {
 	tr := straightTrip(6)
 	tr.Points[3].Pos = geo.V(100000, 100000) // wild GPS spike
 
-	ref := Repair(tr, Config{})
+	ref := repair(t, tr, Config{})
 	if ref.Dropped != 1 {
 		t.Fatalf("default config dropped %d, want 1 (the spike)", ref.Dropped)
 	}
-	got := Repair(tr, Config{MaxSpeedKmh: math.NaN()})
+	got := repair(t, tr, Config{MaxSpeedKmh: math.NaN()})
 	if got.Dropped != 1 {
 		t.Fatalf("NaN MaxSpeedKmh dropped %d, want 1: the spike filter was disabled", got.Dropped)
 	}
 	// An explicit +Inf remains a deliberate opt-out.
-	off := Repair(tr, Config{MaxSpeedKmh: math.Inf(1)})
+	off := repair(t, tr, Config{MaxSpeedKmh: math.Inf(1)})
 	if off.Dropped != 0 {
 		t.Fatalf("+Inf MaxSpeedKmh dropped %d, want 0 (filter explicitly off)", off.Dropped)
 	}
@@ -317,7 +330,7 @@ func TestRepairRealignmentSpikeConverges(t *testing.T) {
 		mk(4, 23, 33, 101000), // D
 	)
 
-	r1 := Repair(tr, Config{})
+	r1 := repair(t, tr, Config{})
 	if r1.Trip == nil {
 		t.Fatal("trip fully filtered")
 	}
@@ -330,7 +343,7 @@ func TestRepairRealignmentSpikeConverges(t *testing.T) {
 		t.Fatalf("first Repair kept %d points (dropped %d), want 3 (dropped 1)",
 			len(r1.Trip.Points), r1.Dropped)
 	}
-	r2 := Repair(r1.Trip, Config{})
+	r2 := repair(t, r1.Trip, Config{})
 	if r2.Trip == nil || len(r2.Trip.Points) != len(r1.Trip.Points) || r2.Dropped != 0 {
 		t.Fatalf("Repair not idempotent: %d points -> %v (dropped %d)",
 			len(r1.Trip.Points), len(r2.Trip.Points), r2.Dropped)

@@ -2,35 +2,21 @@ package clean
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"time"
 
 	"repro/internal/trace"
 )
 
-// Columnar mirror of Repair. RepairColumns performs the same §IV-B
-// repair — validity filters, dual-ordering choice by total path
-// length, realignment, spike fixpoint — directly on arena-backed
-// columns, using index permutations instead of copying RoutePoints and
-// a reusable Scratch instead of per-trip maps and slices. Its output
-// is value-identical to Repair on the materialised trip: every float
-// comparison and reduction below reuses the exact expression shape of
-// the row-oriented code, sorts use the same stable/unstable choices,
-// and realignment truncates timestamps to milliseconds exactly like
-// time.Time.UnixMilli. Repair stays as the oracle: the kernel
-// differentials here and in core assert bit equality.
-
-// ColResult mirrors Result for a columnar repair. Trip.N == 0 means no
-// points survived.
+// ColResult reports what cleaning did to one trip.
 type ColResult struct {
-	Trip         trace.ColTrip
+	Trip         trace.ColTrip // cleaned view; Trip.N == 0 when nothing survived
 	ChosenOrder  Order
-	LengthByID   float64
-	LengthByTime float64
-	Reordered    bool
-	Dropped      int       // == Drops.Total()
-	Drops        DropStats // per-reason breakdown, identical to the row path's
+	LengthByID   float64   // trip length under id ordering, metres
+	LengthByTime float64   // trip length under timestamp ordering, metres
+	Reordered    bool      // arrival order differed from the chosen order
+	Dropped      int       // points removed by validity filters (== Drops.Total())
+	Drops        DropStats // the same count broken down by reason
 }
 
 // Scratch holds the reusable buffers for RepairColumns. One scratch
@@ -66,19 +52,6 @@ func grow[T any](b []T, n int) []T {
 	return b[:0]
 }
 
-// subNs returns a-b as a Duration with the same saturation behaviour
-// as time.Time.Sub.
-func subNs(a, b int64) time.Duration {
-	d := a - b
-	switch {
-	case a > b && d < 0:
-		return time.Duration(math.MaxInt64)
-	case a < b && d >= 0:
-		return time.Duration(math.MinInt64)
-	}
-	return time.Duration(d)
-}
-
 // unixMilliOfNs truncates a unix-nanosecond timestamp to milliseconds
 // exactly like time.Time.UnixMilli (floor division).
 func unixMilliOfNs(ns int64) int64 {
@@ -89,9 +62,19 @@ func unixMilliOfNs(ns int64) int64 {
 	return q
 }
 
-// RepairColumns cleans one columnar trip, appending the cleaned points
-// to the arena (which may be the view's own arena). The input rows are
-// not modified.
+// RepairColumns cleans one trip; it is the stage's one kernel. It runs
+// the §IV-B repair — validity filters, dual-ordering choice by total
+// path length, realignment, spike fixpoint — on arena-backed columns,
+// with index permutations instead of copied points and a reusable
+// Scratch instead of per-trip maps and slices. It appends the cleaned
+// points to the arena (which may be the view's own arena) and does not
+// modify the input rows. Cleaning its own output changes nothing.
+//
+// The tests hold RepairColumns bit for bit to the row-oriented oracle
+// Repair (oracle_test.go). That is why its float expressions,
+// reductions and sort stabilities keep the oracle's shapes, and why
+// realignment truncates timestamps to milliseconds exactly like
+// time.Time.UnixMilli.
 func RepairColumns(v trace.ColTrip, cfg Config, a *trace.Arena, s *Scratch) ColResult {
 	cfg = cfg.withDefaults()
 	s.reset(v.Len())
@@ -205,14 +188,13 @@ func RepairColumns(v trace.ColTrip, cfg Config, a *trace.Arena, s *Scratch) ColR
 	return res
 }
 
-// filterValidCols mirrors filterValid: it fills s.valid with the
-// arrival-order indices of points passing the finiteness, area,
-// duplicate-id and spike filters, leaves the surviving timestamp order
-// in s.byTM when the spike filter ran, and accumulates per-reason drop
-// counts into drops (attributed exactly like the row path: finiteness
-// before area before duplicates before spikes). Zero timestamps cannot
-// occur in columnar storage (Arena.AppendTrip refuses them), so the
-// IsZero test has no columnar counterpart.
+// filterValidCols fills s.valid with the arrival-order indices of
+// points passing the finiteness, area, duplicate-id and spike filters,
+// leaves the surviving timestamp order in s.byTM when the spike filter
+// ran, and accumulates per-reason drop counts into drops (finiteness
+// before area before duplicates before spikes). Zero timestamps, which
+// the oracle drops as non-finite, cannot occur in columnar storage
+// (Arena.AppendTrip refuses them).
 func filterValidCols(v trace.ColTrip, cfg Config, s *Scratch, drops *DropStats) {
 	n := v.Len()
 	checkArea := cfg.Area.Area() > 0
@@ -271,7 +253,7 @@ func filterValidCols(v trace.ColTrip, cfg Config, s *Scratch, drops *DropStats) 
 	last := int(s.byTM[0])
 	for _, pi := range s.byTM[1:] {
 		p := int(pi)
-		dt := subNs(v.TimeNs(p), v.TimeNs(last)).Seconds()
+		dt := v.TimeSub(p, last).Seconds()
 		if dt > 0.5 {
 			vel := v.Pos(p).Dist(v.Pos(last)) / dt * 3.6
 			if vel > cfg.MaxSpeedKmh {
@@ -298,7 +280,7 @@ func spikeScan(v trace.ColTrip, cfg Config, bad []bool) int {
 	drops := 0
 	last := 0
 	for p := 1; p < v.Len(); p++ {
-		dt := subNs(v.TimeNs(p), v.TimeNs(last)).Seconds()
+		dt := v.TimeSub(p, last).Seconds()
 		if dt > 0.5 {
 			vel := v.Pos(p).Dist(v.Pos(last)) / dt * 3.6
 			if vel > cfg.MaxSpeedKmh {
@@ -312,9 +294,9 @@ func spikeScan(v trace.ColTrip, cfg Config, bad []bool) int {
 	return drops
 }
 
-// sortByTime sorts view indices by timestamp, then point id, exactly
-// like timeBefore on rows: the order of points that share a timestamp
-// does not depend on their arrival order.
+// sortByTime sorts view indices by timestamp, then point id, so the
+// order of points that share a timestamp does not depend on their
+// arrival order.
 func sortByTime(v trace.ColTrip, idx []int32) {
 	slices.SortStableFunc(idx, func(i, j int32) int {
 		if c := cmp.Compare(v.TimeNs(int(i)), v.TimeNs(int(j))); c != 0 {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/trace"
 )
 
-// randomCorruptTrip builds a trip with the corruption modes Repair
+// randomCorruptTrip builds a trip with the corruption modes cleaning
 // exists to fix: arrival shuffles, duplicated ids, GPS spikes,
 // non-finite fields, out-of-area points, timestamp ties and
 // sub-millisecond noise.
@@ -60,58 +60,10 @@ func randomCorruptTrip(rng *rand.Rand, id int64) *trace.Trip {
 	return tr
 }
 
-func compareRepair(t *testing.T, tr *trace.Trip, cfg Config) {
-	t.Helper()
-	want := Repair(tr, cfg)
-
-	a := trace.NewArena(0)
-	var s Scratch
-	v, err := a.AppendTrip(tr)
-	if err != nil {
-		t.Fatalf("trip %d not columnar-representable: %v", tr.ID, err)
-	}
-	got := RepairColumns(v, cfg, a, &s)
-
-	if got.ChosenOrder != want.ChosenOrder || got.Reordered != want.Reordered ||
-		got.Dropped != want.Dropped || got.Drops != want.Drops ||
-		math.Float64bits(got.LengthByID) != math.Float64bits(want.LengthByID) ||
-		math.Float64bits(got.LengthByTime) != math.Float64bits(want.LengthByTime) {
-		t.Fatalf("trip %d stats diverge:\ncolumnar %+v\nlegacy   %+v", tr.ID, got, want)
-	}
-	if got.Drops.Total() != got.Dropped {
-		t.Fatalf("trip %d: Drops %+v does not sum to Dropped %d", tr.ID, got.Drops, got.Dropped)
-	}
-	if want.Trip == nil {
-		if got.Trip.N != 0 {
-			t.Fatalf("trip %d: legacy dropped everything, columnar kept %d points", tr.ID, got.Trip.N)
-		}
-		return
-	}
-	if got.Trip.N != len(want.Trip.Points) {
-		t.Fatalf("trip %d: columnar %d points, legacy %d", tr.ID, got.Trip.N, len(want.Trip.Points))
-	}
-	mat := got.Trip.Materialize(true)
-	if mat.ID != want.Trip.ID || mat.CarID != want.Trip.CarID {
-		t.Fatalf("trip %d identity diverges", tr.ID)
-	}
-	for i := range want.Trip.Points {
-		wp, gp := &want.Trip.Points[i], &mat.Points[i]
-		if gp.PointID != wp.PointID || gp.TripID != wp.TripID ||
-			!gp.Time.Equal(wp.Time) ||
-			math.Float64bits(gp.Pos.X) != math.Float64bits(wp.Pos.X) ||
-			math.Float64bits(gp.Pos.Y) != math.Float64bits(wp.Pos.Y) ||
-			math.Float64bits(gp.SpeedKmh) != math.Float64bits(wp.SpeedKmh) ||
-			math.Float64bits(gp.FuelMl) != math.Float64bits(wp.FuelMl) ||
-			math.Float64bits(gp.DistM) != math.Float64bits(wp.DistM) {
-			t.Fatalf("trip %d point %d diverges:\ncolumnar %+v\nlegacy   %+v", tr.ID, i, *gp, *wp)
-		}
-	}
-}
-
 // TestRepairColumnsMatchesRepair is the kernel-level differential: over
 // thousands of randomly corrupted trips and several configs, the
-// columnar repair must agree with the row-oriented one bit for bit —
-// points, order choice, and every stat.
+// production kernel must agree with the oracle bit for bit — points,
+// order choice, and every stat.
 func TestRepairColumnsMatchesRepair(t *testing.T) {
 	cfgs := []Config{
 		{},
@@ -122,7 +74,9 @@ func TestRepairColumnsMatchesRepair(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		tr := randomCorruptTrip(rng, int64(i+1))
-		compareRepair(t, tr, cfgs[i%len(cfgs)])
+		if _, err := CheckedRepair(t, tr, cfgs[i%len(cfgs)]); err != nil {
+			t.Fatalf("trip %d not columnar-representable: %v", tr.ID, err)
+		}
 	}
 }
 
@@ -161,7 +115,8 @@ func TestRepairColumnsSharedArena(t *testing.T) {
 	}
 }
 
-// TestRepairColumnsIdempotent mirrors Repair's idempotence contract.
+// TestRepairColumnsIdempotent: cleaning the kernel's own output, in the
+// same arena, changes nothing.
 func TestRepairColumnsIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := trace.NewArena(0)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/trace"
 )
 
-func ExampleRepair() {
+func ExampleRepairColumns() {
 	// Points of an eastbound drive arrive with two device ids swapped:
 	// sorting by id would zigzag, so the min-total-distance rule picks
 	// the timestamp ordering (paper section IV-B).
@@ -24,9 +24,17 @@ func ExampleRepair() {
 	}
 	trip.Points[1].PointID, trip.Points[2].PointID = trip.Points[2].PointID, trip.Points[1].PointID
 
-	r := clean.Repair(trip, clean.Config{})
-	fmt.Printf("chose %s order: %.0f m by id vs %.0f m by timestamp\n",
-		r.ChosenOrder, r.LengthByID, r.LengthByTime)
+	// The kernel reads an arena-backed view and appends the cleaned
+	// points to the same arena.
+	arena := trace.NewArena(len(trip.Points))
+	v, err := arena.AppendTrip(trip)
+	if err != nil {
+		panic(err)
+	}
+	var scratch clean.Scratch
+	r := clean.RepairColumns(v, clean.Config{}, arena, &scratch)
+	fmt.Printf("chose %s order: %.0f m by id vs %.0f m by timestamp; %d points kept\n",
+		r.ChosenOrder, r.LengthByID, r.LengthByTime, r.Trip.Len())
 	// Output:
-	// chose timestamp order: 600 m by id vs 400 m by timestamp
+	// chose timestamp order: 600 m by id vs 400 m by timestamp; 5 points kept
 }

@@ -8,8 +8,10 @@ import (
 	"repro/internal/trace"
 )
 
-// FuzzRepair: arbitrary point metadata must never panic the cleaner,
-// and the output (when any) must satisfy the monotonicity contract.
+// FuzzRepair: arbitrary point metadata must never panic the cleaner.
+// Every input runs through RepairColumns and the oracle Repair (the
+// helper repair), which must agree bit for bit, and the production
+// output (when any) must satisfy the monotonicity contract.
 func FuzzRepair(f *testing.F) {
 	f.Add(int64(1), uint8(5), false)
 	f.Add(int64(99), uint8(0), true)
@@ -41,7 +43,7 @@ func FuzzRepair(f *testing.F) {
 				DistM:    float64(next() % 1000000),
 			})
 		}
-		r := Repair(tr, Config{})
+		r := repair(t, tr, Config{})
 		if r.Trip == nil {
 			return
 		}
@@ -60,25 +62,25 @@ func FuzzRepair(f *testing.F) {
 
 		// Differential properties over the same input:
 		//
-		// Idempotence — Repair of a repaired trip is the identity.
+		// Idempotence — cleaning a cleaned trip is the identity.
 		// Historically this failed: realignment re-assigns the sorted
 		// timestamp multiset along the chosen order, which can create
 		// adjacencies faster than MaxSpeedKmh that only a second pass
-		// would filter. Repair now iterates to the fixpoint.
-		r2 := Repair(r.Trip, Config{})
+		// would filter. Both kernels now iterate to the fixpoint.
+		r2 := repair(t, r.Trip, Config{})
 		if r2.Trip == nil {
-			t.Fatal("Repair of a repaired trip dropped everything")
+			t.Fatal("cleaning a cleaned trip dropped everything")
 		}
 		if r2.Dropped != 0 || r2.Reordered {
-			t.Fatalf("Repair is not idempotent: second pass dropped %d, reordered %v",
+			t.Fatalf("cleaning is not idempotent: second pass dropped %d, reordered %v",
 				r2.Dropped, r2.Reordered)
 		}
 		if len(r2.Trip.Points) != len(pts) {
-			t.Fatalf("Repair is not idempotent: %d -> %d points", len(pts), len(r2.Trip.Points))
+			t.Fatalf("cleaning is not idempotent: %d -> %d points", len(pts), len(r2.Trip.Points))
 		}
 		for i := range pts {
 			if pts[i] != r2.Trip.Points[i] {
-				t.Fatalf("Repair is not idempotent: point %d changed", i)
+				t.Fatalf("cleaning is not idempotent: point %d changed", i)
 			}
 		}
 

@@ -4,15 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/check"
-	"repro/internal/clean"
 	"repro/internal/obs"
-	"repro/internal/segment"
-	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
 
@@ -157,95 +153,6 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	for name, n := range ccfg.Metrics.Snapshot().Counters {
 		if strings.HasPrefix(name, "check_violations_total") && n != 0 {
 			t.Errorf("clean fleet recorded violations: %s = %d", name, n)
-		}
-	}
-}
-
-// TestColumnarKernelsMatchRowKernels is the fleet-scale proof that the
-// columnar kernels the stage driver runs mirror the row kernels, which
-// remain as the test oracle: over every raw trip of the determinism
-// fleet, RepairColumns + SplitColumns + MaterializeAll must equal
-// Repair + Split bit for bit — every point field (floats compared
-// through math.Float64bits), the cleaning decision and lengths, and
-// every drop count of both stages.
-func TestColumnarKernelsMatchRowKernels(t *testing.T) {
-	p, err := NewPipeline(determinismConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	arena := trace.NewArena(0)
-	var sc clean.Scratch
-	var trips, reordered, segs int
-	for car := 1; car <= p.Config.Fleet.Cars; car++ {
-		for _, raw := range p.Gen.CarTrips(car) {
-			trips++
-			arena.Reset()
-			v, err := arena.AppendTrip(raw)
-			if err != nil {
-				t.Fatalf("car %d trip %d: %v", car, raw.ID, err)
-			}
-			row := clean.Repair(raw, p.Config.Clean)
-			col := clean.RepairColumns(v, p.Config.Clean, arena, &sc)
-			if row.ChosenOrder != col.ChosenOrder || row.Reordered != col.Reordered ||
-				row.Dropped != col.Dropped || row.Drops != col.Drops ||
-				math.Float64bits(row.LengthByID) != math.Float64bits(col.LengthByID) ||
-				math.Float64bits(row.LengthByTime) != math.Float64bits(col.LengthByTime) {
-				t.Fatalf("trip %d: clean row %+v, columnar %+v", raw.ID, row, col)
-			}
-			if row.Reordered {
-				reordered++
-			}
-			if row.Trip == nil {
-				if col.Trip.N != 0 {
-					t.Fatalf("trip %d: row cleaning kept nothing, columnar kept %d points", raw.ID, col.Trip.N)
-				}
-				continue
-			}
-			assertTripsBitIdentical(t, "clean", []*trace.Trip{row.Trip}, trace.MaterializeAll([]trace.ColTrip{col.Trip}, true))
-
-			var rowStats, colStats segment.Stats
-			rowSegs := segment.Split(row.Trip, p.Rules, &rowStats)
-			colSegs := trace.MaterializeAll(segment.SplitColumns(col.Trip, p.Rules, &colStats, nil), true)
-			if math.Float64bits(rowStats.TotalKeptLength) != math.Float64bits(colStats.TotalKeptLength) {
-				t.Fatalf("trip %d: kept length %v vs %v", raw.ID, rowStats.TotalKeptLength, colStats.TotalKeptLength)
-			}
-			rowStats.TotalKeptLength, colStats.TotalKeptLength = 0, 0
-			if rowStats != colStats {
-				t.Fatalf("trip %d: segment stats row %+v, columnar %+v", raw.ID, rowStats, colStats)
-			}
-			assertTripsBitIdentical(t, "segment", rowSegs, colSegs)
-			segs += len(rowSegs)
-		}
-	}
-	if reordered == 0 || segs == 0 {
-		t.Fatalf("degenerate fleet: %d trips, %d reordered, %d segments", trips, reordered, segs)
-	}
-}
-
-// assertTripsBitIdentical requires two trip lists to agree in identity
-// and in every point field, floats bit for bit.
-func assertTripsBitIdentical(t *testing.T, stage string, want, got []*trace.Trip) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: %d row trips, %d columnar", stage, len(want), len(got))
-	}
-	for i, w := range want {
-		g := got[i]
-		if w.ID != g.ID || w.CarID != g.CarID || len(w.Points) != len(g.Points) {
-			t.Fatalf("%s: trip %d/%d (%d points) vs %d/%d (%d points)",
-				stage, w.CarID, w.ID, len(w.Points), g.CarID, g.ID, len(g.Points))
-		}
-		for j := range w.Points {
-			a, b := &w.Points[j], &g.Points[j]
-			if a.PointID != b.PointID || a.TripID != b.TripID || !a.Time.Equal(b.Time) ||
-				a.Time.Location() != b.Time.Location() ||
-				math.Float64bits(a.Pos.X) != math.Float64bits(b.Pos.X) ||
-				math.Float64bits(a.Pos.Y) != math.Float64bits(b.Pos.Y) ||
-				math.Float64bits(a.SpeedKmh) != math.Float64bits(b.SpeedKmh) ||
-				math.Float64bits(a.FuelMl) != math.Float64bits(b.FuelMl) ||
-				math.Float64bits(a.DistM) != math.Float64bits(b.DistM) {
-				t.Fatalf("%s: trip %d point %d: row %+v, columnar %+v", stage, w.ID, j, *a, *b)
-			}
 		}
 	}
 }

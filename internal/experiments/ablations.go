@@ -76,7 +76,9 @@ func randXY(rng *rand.Rand, sigma float64) geo.XY {
 
 // AblationMatchers compares the incremental matcher (with and without
 // the map-direction enhancement) against the HMM baseline on synthetic
-// drives with known ground truth.
+// drives with known ground truth. The table holds accuracy only, so
+// that a rerun writes the same bytes; BenchmarkAblationMatchers times
+// the matchers.
 func AblationMatchers(env *Env) *Report {
 	truths, traces := syntheticDrives(env, 25, 7)
 
@@ -96,11 +98,10 @@ func AblationMatchers(env *Env) *Report {
 
 	var w bytes.Buffer
 	fmt.Fprintf(&w, "%d synthetic drives, 4 m GPS noise, 60-120 m point spacing\n", len(truths))
-	fmt.Fprintf(&w, "%-20s %9s %9s %9s %10s %12s %10s\n",
-		"matcher", "precision", "recall", "F1", "hausdorff", "length-err", "time/trace")
+	fmt.Fprintf(&w, "%-20s %9s %9s %9s %10s %12s\n",
+		"matcher", "precision", "recall", "F1", "hausdorff", "length-err")
 	for _, m := range matchers {
 		var evs []mapmatch.Evaluation
-		start := time.Now()
 		for i, pts := range traces {
 			res, err := m.match(pts)
 			if err != nil {
@@ -108,11 +109,10 @@ func AblationMatchers(env *Env) *Report {
 			}
 			evs = append(evs, mapmatch.Evaluate(env.P.Graph, res, truths[i]))
 		}
-		elapsed := time.Since(start) / time.Duration(len(traces))
 		mean := mapmatch.MeanEvaluation(evs)
-		fmt.Fprintf(&w, "%-20s %9.3f %9.3f %9.3f %9.1fm %11.1fm %10s\n",
+		fmt.Fprintf(&w, "%-20s %9.3f %9.3f %9.3f %9.1fm %11.1fm\n",
 			m.name, mean.Precision, mean.Recall, mean.F1,
-			mean.HausdorffM, mean.LengthErrorM, elapsed.Round(time.Microsecond))
+			mean.HausdorffM, mean.LengthErrorM)
 	}
 	return report("ablation-matchers", "Ablation: map-matching algorithms", &w)
 }
@@ -157,7 +157,7 @@ func AblationOrderingRepair(env *Env) *Report {
 			// Ground truth: the trip repaired once (the generator's raw
 			// output already carries corruption), giving the true order
 			// with ids renumbered 1..n.
-			base := clean.Repair(t, clean.Config{MaxSpeedKmh: 1e9}).Trip
+			base := repairRows(t, clean.Config{MaxSpeedKmh: 1e9})
 			if base == nil || len(base.Points) < 8 {
 				continue
 			}
@@ -180,8 +180,8 @@ func AblationOrderingRepair(env *Env) *Report {
 			// the trajectory meaningfully.
 			const slackM = 5
 			total++
-			r := clean.Repair(cp, clean.Config{MaxSpeedKmh: 1e9})
-			if r.Trip != nil && within(trace.PathLength(r.Trip.Points), wantLen, slackM) {
+			r := repairRows(cp, clean.Config{MaxSpeedKmh: 1e9})
+			if r != nil && within(trace.PathLength(r.Points), wantLen, slackM) {
 				minDistOK++
 			}
 			byTime := append([]trace.RoutePoint(nil), cp.Points...)
@@ -196,6 +196,23 @@ func AblationOrderingRepair(env *Env) *Report {
 	}
 	fmt.Fprintln(&w, "the min-total-distance rule is the only one reliable in both regimes")
 	return report("ablation-ordering", "Ablation: ordering repair rules", &w)
+}
+
+// repairRows cleans t with the stage's kernel over an arena copy and
+// returns the cleaned trip as rows: nil when nothing survived, or when
+// the arena refuses t (the pipeline fails such a trip's car).
+func repairRows(t *trace.Trip, cfg clean.Config) *trace.Trip {
+	a := trace.NewArena(len(t.Points))
+	v, err := a.AppendTrip(t)
+	if err != nil {
+		return nil
+	}
+	var s clean.Scratch
+	r := clean.RepairColumns(v, cfg, a, &s)
+	if r.Trip.N == 0 {
+		return nil
+	}
+	return r.Trip.Materialize(true)
 }
 
 func within(a, b, tol float64) bool {

@@ -190,6 +190,11 @@ func WriteBinary(w io.Writer, pts []Point) error {
 // BinaryReader streams points out of a binary point-event stream.
 type BinaryReader struct {
 	r *bufio.Reader
+	// Next's record buffers live here: as locals they would escape
+	// through io.ReadFull's io.Reader and cost two heap allocations
+	// per point.
+	pre  [4]byte
+	body [binaryPointLen]byte
 }
 
 // NewBinaryReader validates the stream header and returns the reader.
@@ -211,7 +216,7 @@ func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
 // Next decodes the next point. It returns io.EOF at a clean end of
 // stream.
 func (br *BinaryReader) Next() (Point, error) {
-	var pre [4]byte
+	pre, body := &br.pre, &br.body
 	if _, err := io.ReadFull(br.r, pre[:]); err != nil {
 		if err == io.EOF {
 			return Point{}, io.EOF
@@ -222,7 +227,6 @@ func (br *BinaryReader) Next() (Point, error) {
 	if recLen != binaryPointLen {
 		return Point{}, fmt.Errorf("ingest: invalid record length %d (want %d)", recLen, binaryPointLen)
 	}
-	var body [binaryPointLen]byte
 	if _, err := io.ReadFull(br.r, body[:]); err != nil {
 		return Point{}, fmt.Errorf("ingest: read record body: %w", err)
 	}

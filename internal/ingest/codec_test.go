@@ -85,6 +85,37 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinaryReaderNextAllocatesNothing: a warm reader decodes a
+// record without heap allocations, so the firehose's decode costs no
+// garbage per point.
+func TestBinaryReaderNextAllocatesNothing(t *testing.T) {
+	const runs = 100
+	base := csvPrecisionPoints()
+	var pts []Point
+	for len(pts) < runs+10 {
+		pts = append(pts, base...)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, pts); err != nil {
+		t.Fatal(err)
+	}
+	br, err := NewBinaryReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := br.Next(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := br.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Next allocates %.1f times per record, want 0", allocs)
+	}
+}
+
 // TestBinaryQuantisationMatchesTraceFormat is the framing-parity
 // check: a route point shipped through the point firehose's binary
 // framing must decode to the same float64s as the same point written

@@ -293,10 +293,10 @@ func (e *Engine) PushBatch(pts []Point) PushResult {
 
 // admitLocked runs the online admission checks for one event and
 // buffers it. The non-finite and out-of-area predicates are exactly
-// the first two filters of clean.Repair, applied per point at the
-// door; removing them here leaves the trip-close Repair (ordering,
-// duplicates, spikes) with identical results, so streaming admission
-// stays value-equivalent to batch cleaning. A point outside the wire
+// the first two filters of clean.RepairColumns, applied per point at
+// the door; removing them here leaves the trip-close cleaning
+// (ordering, duplicates, spikes) with identical results, so streaming
+// admission stays value-equivalent to batch cleaning. A point outside the wire
 // bounds (checkBounds) has no representation in the trip buffer and
 // is dropped as non_finite too, however it was pushed.
 func (e *Engine) admitLocked(p *Point, recvNs int64) (obs.DropReason, bool) {

@@ -1,32 +1,16 @@
 package segment
 
-import (
-	"math"
-	"time"
+import "repro/internal/trace"
 
-	"repro/internal/trace"
-)
-
-// Columnar mirror of Split: the same Table 2 rules over an
-// arena-backed view, with segments returned as zero-copy subviews
-// instead of copied point slices. The rule expressions reuse the
-// row-oriented shapes exactly, so a segment's membership — and every
-// Stats counter — is identical between the two kernels.
-
-// subNsSeg returns a-b as a Duration with time.Time.Sub's saturation.
-func subNsSeg(a, b int64) time.Duration {
-	d := a - b
-	switch {
-	case a > b && d < 0:
-		return time.Duration(math.MaxInt64)
-	case a < b && d >= 0:
-		return time.Duration(math.MinInt64)
-	}
-	return time.Duration(d)
-}
-
-// SplitColumns segments one cleaned columnar trip, appending the kept
-// segment views to out.
+// SplitColumns segments one cleaned trip; it is the stage's one
+// kernel. Points must already be in true order (package clean
+// guarantees this). It appends the kept segments to out as zero-copy
+// subviews of v. They share the source trip's ID; the paper's key of
+// trip id and start time keeps them distinct.
+//
+// The tests hold SplitColumns to the row-oriented oracle Split
+// (oracle_test.go): the same segments, point for point, and the same
+// Stats, which is why its rule expressions keep the oracle's shapes.
 func SplitColumns(v trace.ColTrip, rules Rules, stats *Stats, out []trace.ColTrip) []trace.ColTrip {
 	if stats != nil {
 		stats.InputTrips++
@@ -73,8 +57,17 @@ func SplitColumns(v trace.ColTrip, rules Rules, stats *Stats, out []trace.ColTri
 	return out
 }
 
-// splitOnceCols mirrors splitOnce over a view, appending segments to
-// segs.
+// splitOnceCols breaks the view at every detected stop, appending the
+// pieces to segs. Rule 1 (and its rule 5 variant on the re-split
+// round) is a *window* rule: the device keeps emitting heartbeat
+// points while the taxi stands, so stillness must be detected over
+// runs of points that stay within MoveEpsilonM, not over single gaps.
+// Rules 2-4 act on single inter-point gaps.
+//
+// At a still-run stop the segment ends at the run's first point (the
+// arrival) and the next segment starts at the run's last point (the
+// departure); the heartbeat points strictly inside the stop are
+// discarded (counted in Stats.DroppedStopPoints).
 func splitOnceCols(v trace.ColTrip, rules Rules, resplit bool, stats *Stats, segs []trace.ColTrip) []trace.ColTrip {
 	n := v.Len()
 	if n == 0 {
@@ -102,7 +95,7 @@ func splitOnceCols(v trace.ColTrip, rules Rules, resplit bool, stats *Stats, seg
 		for j+1 < n && v.Pos(j+1).Dist(v.Pos(i)) < rules.MoveEpsilonM {
 			j++
 		}
-		if j > i && subNsSeg(v.TimeNs(j), v.TimeNs(i)) >= stillGap {
+		if j > i && v.TimeSub(j, i) >= stillGap {
 			emit(i, j, stillRule)
 			i = j
 			continue
@@ -117,9 +110,10 @@ func splitOnceCols(v trace.ColTrip, rules Rules, resplit bool, stats *Stats, seg
 	return append(segs, v.Sub(start, n))
 }
 
-// pairRuleCols mirrors pairRule for points a, b of a view.
+// pairRuleCols returns the rule (2, 3 or 4) classifying the gap
+// between points a and b of a view as a stop, or 0.
 func pairRuleCols(v trace.ColTrip, a, b int, rules Rules) int {
-	dt := subNsSeg(v.TimeNs(b), v.TimeNs(a))
+	dt := v.TimeSub(b, a)
 	if dt <= 0 {
 		return 0
 	}

@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -51,9 +50,8 @@ func randomCleanedTrip(rng *rand.Rand, id int64) *trace.Trip {
 }
 
 // TestSplitColumnsMatchesSplit: over thousands of random cleaned
-// trips, columnar segmentation must produce the same segments — same
-// membership, same point values — and the same Stats as the
-// row-oriented Split.
+// trips, the production kernel must produce the same segments — same
+// membership, same point values — and the same Stats as the oracle.
 func TestSplitColumnsMatchesSplit(t *testing.T) {
 	rules := DefaultRules()
 	loose := DefaultRules()
@@ -68,64 +66,41 @@ func TestSplitColumnsMatchesSplit(t *testing.T) {
 			r = loose
 		}
 		tr := randomCleanedTrip(rng, int64(i+1))
-
-		var wantStats Stats
-		want := Split(tr, r, &wantStats)
-
 		a.Reset()
 		v, err := a.AppendTrip(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var gotStats Stats
-		views := SplitColumns(v, r, &gotStats, nil)
-
-		if wantStats != gotStats {
-			t.Fatalf("trip %d stats diverge:\ncolumnar %+v\nlegacy   %+v", tr.ID, gotStats, wantStats)
-		}
-		if len(views) != len(want) {
-			t.Fatalf("trip %d: columnar %d segments, legacy %d", tr.ID, len(views), len(want))
-		}
-		got := trace.MaterializeAll(views, true)
-		for si := range want {
-			ws, gs := want[si], got[si]
-			if gs.ID != ws.ID || gs.CarID != ws.CarID || len(gs.Points) != len(ws.Points) {
-				t.Fatalf("trip %d segment %d header diverges", tr.ID, si)
-			}
-			for k := range ws.Points {
-				wp, gp := &ws.Points[k], &gs.Points[k]
-				if gp.PointID != wp.PointID || !gp.Time.Equal(wp.Time) ||
-					math.Float64bits(gp.Pos.X) != math.Float64bits(wp.Pos.X) ||
-					math.Float64bits(gp.Pos.Y) != math.Float64bits(wp.Pos.Y) ||
-					math.Float64bits(gp.SpeedKmh) != math.Float64bits(wp.SpeedKmh) ||
-					math.Float64bits(gp.FuelMl) != math.Float64bits(wp.FuelMl) ||
-					math.Float64bits(gp.DistM) != math.Float64bits(wp.DistM) {
-					t.Fatalf("trip %d segment %d point %d diverges", tr.ID, si, k)
-				}
-			}
-		}
+		var stats Stats
+		CheckedSplit(t, v, r, &stats)
 	}
 }
 
-// TestSplitColumnsAppendsToOut: the out parameter accumulates across
-// calls, the pattern the pipeline uses for a car's whole trip list.
+// TestSplitColumnsAppendsToOut: the out parameter and the Stats
+// accumulate across calls, the pattern the pipeline uses for a car's
+// whole trip list.
 func TestSplitColumnsAppendsToOut(t *testing.T) {
+	const trips = 5
 	rules := DefaultRules()
 	rules.MinPoints = 2
 	rng := rand.New(rand.NewSource(23))
 	a := trace.NewArena(0)
 	var out []trace.ColTrip
+	var stats Stats
 	wantTotal := 0
-	for i := 0; i < 5; i++ {
+	for i := 0; i < trips; i++ {
 		tr := randomCleanedTrip(rng, int64(i+1))
 		wantTotal += len(Split(tr, rules, nil))
 		v, err := a.AppendTrip(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = SplitColumns(v, rules, nil, out)
+		out = SplitColumns(v, rules, &stats, out)
 	}
 	if len(out) != wantTotal {
 		t.Fatalf("accumulated %d segments, want %d", len(out), wantTotal)
+	}
+	if stats.InputTrips != trips || stats.KeptSegments != len(out) || !(stats.TotalKeptLength > 0) {
+		t.Fatalf("stats over %d trips and %d kept segments: %+v", trips, len(out), stats)
 	}
 }

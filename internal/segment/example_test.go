@@ -9,7 +9,7 @@ import (
 	"repro/internal/trace"
 )
 
-func ExampleSplit() {
+func ExampleSplitColumns() {
 	// An engine-on trip: drive east, wait 5 minutes at a stand
 	// (heartbeat points), drive on — rule 1 splits it in two.
 	t0 := time.Date(2012, 10, 1, 8, 0, 0, 0, time.UTC)
@@ -34,10 +34,17 @@ func ExampleSplit() {
 		at = at.Add(30 * time.Second)
 	}
 
-	segs := segment.Split(tr, segment.DefaultRules(), nil)
+	// The kernel reads an arena-backed view; the segments it returns
+	// are subviews of it.
+	arena := trace.NewArena(len(tr.Points))
+	v, err := arena.AppendTrip(tr)
+	if err != nil {
+		panic(err)
+	}
+	segs := segment.SplitColumns(v, segment.DefaultRules(), nil, nil)
 	for i, s := range segs {
 		fmt.Printf("segment %d: %d points, %.1f km\n",
-			i+1, len(s.Points), trace.PathLength(s.Points)/1000)
+			i+1, s.Len(), s.PathLength()/1000)
 	}
 	// Output:
 	// segment 1: 6 points, 1.0 km

@@ -10,11 +10,14 @@ import (
 
 // FuzzSplit drives the segmenter with adversarial point sequences —
 // zero and negative time deltas, teleporting positions, single-point
-// trips — and checks the post-filter contract on whatever survives:
-// every kept segment has at least MinPoints points and is no longer
-// than MaxLengthM, the stats ledger matches the returned slice, and
-// segments own their points (mutating one never writes through to the
-// source trip).
+// trips. Every input the arena accepts runs through SplitColumns and
+// the oracle Split (the helper split), which must agree bit for bit; a
+// step so large that times leave the columnar range (1678–2262) runs
+// on the oracle alone. The post-filter contract is checked on whatever
+// survives: every kept segment has at least MinPoints points and is no
+// longer than MaxLengthM, the stats ledger matches the returned slice,
+// and the segments handed out as rows own their points (mutating one
+// never writes through to the source trip).
 func FuzzSplit(f *testing.F) {
 	f.Add(int64(1), uint8(20), int64(30_000), false)
 	f.Add(int64(42), uint8(80), int64(200_000), true)
@@ -47,7 +50,7 @@ func FuzzSplit(f *testing.F) {
 
 		rules := DefaultRules()
 		var stats Stats
-		segs := Split(tr, rules, &stats)
+		segs := split(t, tr, rules, &stats)
 
 		if stats.KeptSegments != len(segs) {
 			t.Fatalf("stats.KeptSegments = %d, returned %d segments",
@@ -73,7 +76,7 @@ func FuzzSplit(f *testing.F) {
 				total, len(tr.Points))
 		}
 
-		// Aliasing: segments must be copies. Poison every segment point
+		// Aliasing: the rows must be copies. Poison every segment point
 		// and verify the source trip still reads its own ids.
 		for _, sg := range segs {
 			for i := range sg.Points {

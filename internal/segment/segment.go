@@ -15,13 +15,15 @@
 //
 // Finally, segments with fewer than five route points or longer than
 // 30 km are removed.
+//
+// The stage has one kernel, SplitColumns, which segments an
+// arena-backed trace.ColTrip view into zero-copy subviews. Its
+// row-oriented reference implementation, Split, lives in the package's
+// tests (oracle_test.go): every kernel test runs both and requires the
+// same segments and Stats.
 package segment
 
-import (
-	"time"
-
-	"repro/internal/trace"
-)
+import "time"
 
 // Rules holds the Table 2 thresholds. DefaultRules reproduces the
 // paper's values; tests and ablations may vary them.
@@ -80,158 +82,4 @@ type Stats struct {
 	StopGapsByRule    [5]int // which rule fired, for diagnostics
 	DroppedStopPoints int    // heartbeat points inside detected stops
 	TotalKeptLength   float64
-}
-
-// Split segments one cleaned trip. Points must already be in true
-// order (package clean guarantees this). The returned segments share
-// the source trip's ID; the paper's trip-id + start-time key keeps them
-// distinct.
-func Split(t *trace.Trip, rules Rules, stats *Stats) []*trace.Trip {
-	if stats != nil {
-		stats.InputTrips++
-	}
-	segs := splitOnce(t, rules, false, stats)
-
-	// Rule 5: second round over segments that remain implausibly long.
-	var out []*trace.Trip
-	for _, s := range segs {
-		if trace.PathLength(s.Points) > rules.ResplitLengthM {
-			if stats != nil {
-				stats.Resplit++
-			}
-			out = append(out, splitOnce(s, rules, true, stats)...)
-			continue
-		}
-		out = append(out, s)
-	}
-
-	// Post-filters.
-	kept := out[:0]
-	for _, s := range out {
-		if stats != nil {
-			stats.RawSegments++
-		}
-		n := len(s.Points)
-		length := trace.PathLength(s.Points)
-		switch {
-		case n < rules.MinPoints:
-			if stats != nil {
-				stats.TooFewPoints++
-			}
-		case length > rules.MaxLengthM:
-			if stats != nil {
-				stats.TooLong++
-			}
-		default:
-			kept = append(kept, s)
-			if stats != nil {
-				stats.KeptSegments++
-				stats.TotalKeptLength += length
-			}
-		}
-	}
-	return kept
-}
-
-// SplitAll segments a batch of cleaned trips.
-func SplitAll(trips []*trace.Trip, rules Rules, stats *Stats) []*trace.Trip {
-	var out []*trace.Trip
-	for _, t := range trips {
-		out = append(out, Split(t, rules, stats)...)
-	}
-	return out
-}
-
-// splitOnce breaks the trip at every detected stop. Rule 1 (and its
-// rule 5 variant on the re-split round) is a *window* rule: the device
-// keeps emitting heartbeat points while the taxi stands, so stillness
-// must be detected over runs of points that stay within MoveEpsilonM,
-// not over single gaps. Rules 2-4 act on single inter-point gaps.
-//
-// At a still-run stop the segment ends at the run's first point (the
-// arrival) and the next segment starts at the run's last point (the
-// departure); the heartbeat points strictly inside the stop are
-// discarded (counted in Stats.DroppedStopPoints).
-func splitOnce(t *trace.Trip, rules Rules, resplit bool, stats *Stats) []*trace.Trip {
-	pts := t.Points
-	if len(pts) == 0 {
-		return nil
-	}
-	type cut struct {
-		end  int // last index of the finished segment (inclusive)
-		next int // first index of the following segment
-		rule int // 1-based rule number
-	}
-	var cuts []cut
-
-	stillGap := rules.StillGap
-	stillRule := 1
-	if resplit {
-		stillGap = rules.ResplitGap
-		stillRule = 5
-	}
-	i := 0
-	for i < len(pts)-1 {
-		// Maximal still-run anchored at point i.
-		j := i
-		for j+1 < len(pts) && pts[j+1].Pos.Dist(pts[i].Pos) < rules.MoveEpsilonM {
-			j++
-		}
-		if j > i && pts[j].Time.Sub(pts[i].Time) >= stillGap {
-			cuts = append(cuts, cut{end: i, next: j, rule: stillRule})
-			i = j
-			continue
-		}
-		if !resplit {
-			if r := pairRule(&pts[i], &pts[i+1], rules); r != 0 {
-				cuts = append(cuts, cut{end: i, next: i + 1, rule: r})
-			}
-		}
-		i++
-	}
-
-	var segs []*trace.Trip
-	start := 0
-	for _, c := range cuts {
-		if stats != nil {
-			stats.StopGapsByRule[c.rule-1]++
-			stats.DroppedStopPoints += c.next - c.end - 1
-		}
-		segs = append(segs, subTrip(t, start, c.end+1))
-		start = c.next
-	}
-	segs = append(segs, subTrip(t, start, len(pts)))
-	return segs
-}
-
-// pairRule returns the rule (2, 3 or 4) classifying a single
-// inter-point gap as a stop, or 0.
-func pairRule(a, b *trace.RoutePoint, rules Rules) int {
-	dt := b.Time.Sub(a.Time)
-	if dt <= 0 {
-		return 0
-	}
-	dd := a.Pos.Dist(b.Pos)
-	v := dd / dt.Seconds()
-	switch {
-	case dd < rules.SlowDistM && dt > rules.LongGap && v > rules.CrawlSpeedMS:
-		return 4
-	case dd < rules.SlowDistM && dt > rules.SlowGap:
-		return 2
-	case v < rules.CrawlSpeedMS:
-		return 3
-	default:
-		return 0
-	}
-}
-
-// subTrip copies points [i, j) into a fresh segment trip.
-func subTrip(t *trace.Trip, i, j int) *trace.Trip {
-	out := &trace.Trip{ID: t.ID, CarID: t.CarID}
-	out.Points = append([]trace.RoutePoint(nil), t.Points[i:j]...)
-	if t.TimeSorted() {
-		// A contiguous slice of a time-ordered trip stays ordered.
-		out.MarkTimeSorted()
-	}
-	return out
 }

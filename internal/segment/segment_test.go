@@ -63,9 +63,26 @@ func lengths(segs []*trace.Trip) []int {
 	return out
 }
 
+// split is how the hand-built tests segment a trip: through
+// CheckedSplit over an arena copy, so that the production kernel and
+// the oracle both run and must agree, returning the production
+// segments as rows. A trip the arena refuses runs on the oracle alone;
+// production never sees one, since the trace readers and ingest refuse
+// its points and the stage driver fails its car at stage simulate.
+func split(t testing.TB, tr *trace.Trip, rules Rules, stats *Stats) []*trace.Trip {
+	t.Helper()
+	a := trace.NewArena(len(tr.Points))
+	v, err := a.AppendTrip(tr)
+	if err != nil {
+		t.Logf("oracle only: %v", err)
+		return Split(tr, rules, stats)
+	}
+	return trace.MaterializeAll(CheckedSplit(t, v, rules, stats), false)
+}
+
 func TestSplitNoStops(t *testing.T) {
 	tr := newBuilder().drive(10, 100, 30*time.Second).tr
-	segs := Split(tr, DefaultRules(), nil)
+	segs := split(t, tr, DefaultRules(), nil)
 	if len(segs) != 1 || len(segs[0].Points) != 10 {
 		t.Fatalf("continuous trip split: %v", lengths(segs))
 	}
@@ -78,7 +95,7 @@ func TestRule1StillGap(t *testing.T) {
 		idle(4*time.Minute, 80*time.Second).
 		drive(6, 100, 30*time.Second).tr
 	var stats Stats
-	segs := Split(tr, DefaultRules(), &stats)
+	segs := split(t, tr, DefaultRules(), &stats)
 	if len(segs) < 2 {
 		t.Fatalf("stand not split: %v", lengths(segs))
 	}
@@ -94,7 +111,7 @@ func TestRule2SlowGap(t *testing.T) {
 		gap(8*time.Minute, 500).
 		drive(6, 100, 30*time.Second).tr
 	var stats Stats
-	segs := Split(tr, DefaultRules(), &stats)
+	segs := split(t, tr, DefaultRules(), &stats)
 	if len(segs) != 2 {
 		t.Fatalf("slow gap not split: %v", lengths(segs))
 	}
@@ -110,7 +127,7 @@ func TestRule3Crawl(t *testing.T) {
 		drive(1, 0.05, 30*time.Second).
 		drive(6, 100, 30*time.Second).tr
 	var stats Stats
-	segs := Split(tr, DefaultRules(), &stats)
+	segs := split(t, tr, DefaultRules(), &stats)
 	if len(segs) != 2 {
 		t.Fatalf("crawl not split: %v", lengths(segs))
 	}
@@ -126,7 +143,7 @@ func TestRule4LongSlowGap(t *testing.T) {
 		gap(16*time.Minute, 1000).
 		drive(6, 100, 30*time.Second).tr
 	var stats Stats
-	segs := Split(tr, DefaultRules(), &stats)
+	segs := split(t, tr, DefaultRules(), &stats)
 	if len(segs) != 2 {
 		t.Fatalf("long slow gap not split: %v", lengths(segs))
 	}
@@ -145,7 +162,7 @@ func TestRule5Resplit(t *testing.T) {
 	b.emit()
 	b.drive(300, 100, 9*time.Second)
 	var stats Stats
-	segs := Split(b.tr, DefaultRules(), &stats)
+	segs := split(t, b.tr, DefaultRules(), &stats)
 	if stats.Resplit == 0 {
 		t.Fatalf("rule 5 never engaged: %+v", stats)
 	}
@@ -164,7 +181,7 @@ func TestPostFilterMinPoints(t *testing.T) {
 		idle(5*time.Minute, 80*time.Second).
 		drive(8, 100, 30*time.Second).tr
 	var stats Stats
-	segs := Split(tr, DefaultRules(), &stats)
+	segs := split(t, tr, DefaultRules(), &stats)
 	if stats.TooFewPoints == 0 {
 		t.Fatalf("short segment not dropped: %+v", stats)
 	}
@@ -179,7 +196,7 @@ func TestPostFilterMaxLength(t *testing.T) {
 	// One continuous 35 km drive: no stops, too long, dropped.
 	tr := newBuilder().drive(350, 100, 9*time.Second).tr
 	var stats Stats
-	segs := Split(tr, DefaultRules(), &stats)
+	segs := split(t, tr, DefaultRules(), &stats)
 	if len(segs) != 0 || stats.TooLong != 1 {
 		t.Fatalf("long trip kept: %v (stats %+v)", lengths(segs), stats)
 	}
@@ -190,7 +207,7 @@ func TestSegmentsPreserveIDAndDistinctKeys(t *testing.T) {
 		drive(6, 100, 30*time.Second).
 		idle(5*time.Minute, 80*time.Second).
 		drive(6, 100, 30*time.Second).tr
-	segs := Split(tr, DefaultRules(), nil)
+	segs := split(t, tr, DefaultRules(), nil)
 	if len(segs) < 2 {
 		t.Fatalf("want >=2 segments, got %v", lengths(segs))
 	}
@@ -207,27 +224,8 @@ func TestSegmentsPreserveIDAndDistinctKeys(t *testing.T) {
 	}
 }
 
-func TestSplitAllStats(t *testing.T) {
-	a := newBuilder().drive(8, 100, 30*time.Second).tr
-	b := newBuilder().
-		drive(6, 100, 30*time.Second).
-		idle(5*time.Minute, 80*time.Second).
-		drive(6, 100, 30*time.Second).tr
-	var stats Stats
-	segs := SplitAll([]*trace.Trip{a, b}, DefaultRules(), &stats)
-	if stats.InputTrips != 2 {
-		t.Fatalf("InputTrips = %d", stats.InputTrips)
-	}
-	if stats.KeptSegments != len(segs) {
-		t.Fatalf("KeptSegments %d != len %d", stats.KeptSegments, len(segs))
-	}
-	if stats.TotalKeptLength <= 0 {
-		t.Fatal("TotalKeptLength not accumulated")
-	}
-}
-
 func TestSplitEmptyTrip(t *testing.T) {
-	segs := Split(&trace.Trip{ID: 1}, DefaultRules(), nil)
+	segs := split(t, &trace.Trip{ID: 1}, DefaultRules(), nil)
 	if len(segs) != 0 {
 		t.Fatalf("empty trip produced %d segments", len(segs))
 	}
@@ -243,7 +241,7 @@ func TestSplitPreservesAllPoints(t *testing.T) {
 	rules := DefaultRules()
 	rules.MinPoints = 1 // disable dropping for this check
 	var stats Stats
-	segs := Split(tr, rules, &stats)
+	segs := split(t, tr, rules, &stats)
 	total := 0
 	for _, s := range segs {
 		total += len(s.Points)
@@ -263,7 +261,7 @@ func TestZeroDTGapIgnored(t *testing.T) {
 	b.pos.X += 100
 	b.emit()
 	b.drive(4, 100, 30*time.Second)
-	segs := Split(b.tr, DefaultRules(), nil)
+	segs := split(t, b.tr, DefaultRules(), nil)
 	if len(segs) != 1 {
 		t.Fatalf("zero-dt gap split the trip: %v", lengths(segs))
 	}
@@ -278,12 +276,12 @@ func TestSplitIdempotent(t *testing.T) {
 		drive(8, 100, 30*time.Second).
 		gap(8*time.Minute, 500).
 		drive(8, 100, 30*time.Second).tr
-	first := Split(tr, DefaultRules(), nil)
+	first := split(t, tr, DefaultRules(), nil)
 	if len(first) < 3 {
 		t.Fatalf("setup: expected >=3 segments, got %d", len(first))
 	}
 	for i, seg := range first {
-		again := Split(seg, DefaultRules(), nil)
+		again := split(t, seg, DefaultRules(), nil)
 		if len(again) != 1 {
 			t.Fatalf("segment %d re-split into %d", i, len(again))
 		}
@@ -304,14 +302,14 @@ func TestPostFilterExactlyMinPointsKept(t *testing.T) {
 	rules := DefaultRules()
 	tr := newBuilder().drive(rules.MinPoints, 100, 30*time.Second).tr
 	var stats Stats
-	segs := Split(tr, rules, &stats)
+	segs := split(t, tr, rules, &stats)
 	if len(segs) != 1 || len(segs[0].Points) != rules.MinPoints {
 		t.Fatalf("exactly-%d-point segment not kept: %v (stats %+v)",
 			rules.MinPoints, lengths(segs), stats)
 	}
 	// One point fewer crosses the boundary.
 	tr = newBuilder().drive(rules.MinPoints-1, 100, 30*time.Second).tr
-	if segs := Split(tr, rules, nil); len(segs) != 0 {
+	if segs := split(t, tr, rules, nil); len(segs) != 0 {
 		t.Fatalf("%d-point segment kept: %v", rules.MinPoints-1, lengths(segs))
 	}
 }
@@ -324,14 +322,14 @@ func TestPostFilterExactlyMaxLengthKept(t *testing.T) {
 		t.Fatalf("setup: trip is %.1f m, want exactly %.1f", l, rules.MaxLengthM)
 	}
 	var stats Stats
-	segs := Split(tr, rules, &stats)
+	segs := split(t, tr, rules, &stats)
 	if len(segs) != 1 || stats.TooLong != 0 {
 		t.Fatalf("exactly-%.0f-m segment not kept: %v (stats %+v)",
 			rules.MaxLengthM, lengths(segs), stats)
 	}
 	// One extra metre over the four legs crosses the boundary.
 	tr = newBuilder().drive(5, (rules.MaxLengthM+1)/4, time.Minute).tr
-	segs = Split(tr, rules, &stats)
+	segs = split(t, tr, rules, &stats)
 	if len(segs) != 0 || stats.TooLong != 1 {
 		t.Fatalf("over-length segment kept: %v (stats %+v)", lengths(segs), stats)
 	}
@@ -351,7 +349,7 @@ func TestSplitZeroDurationPairs(t *testing.T) {
 		})
 	}
 	var stats Stats
-	segs := Split(tr, DefaultRules(), &stats)
+	segs := split(t, tr, DefaultRules(), &stats)
 	if len(segs) != 1 || len(segs[0].Points) != 6 {
 		t.Fatalf("zero-duration trip mangled: %v (stats %+v)", lengths(segs), stats)
 	}
@@ -360,15 +358,16 @@ func TestSplitZeroDurationPairs(t *testing.T) {
 	}
 }
 
-// TestSubTripDoesNotAliasParent pins that segments copy their point
-// slices: writing through a returned segment must never reach the
+// TestSubTripDoesNotAliasParent pins that segments handed out as rows
+// (materialised views, or the oracle's subTrip copies) own their
+// points: writing through a returned segment must never reach the
 // cleaned source trip other stages still hold.
 func TestSubTripDoesNotAliasParent(t *testing.T) {
 	tr := newBuilder().
 		drive(6, 100, 30*time.Second).
 		idle(5*time.Minute, 80*time.Second).
 		drive(6, 100, 30*time.Second).tr
-	segs := Split(tr, DefaultRules(), nil)
+	segs := split(t, tr, DefaultRules(), nil)
 	if len(segs) < 2 {
 		t.Fatalf("want >=2 segments, got %v", lengths(segs))
 	}

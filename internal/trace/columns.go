@@ -184,6 +184,20 @@ func (v ColTrip) TimeNs(i int) int64 { return v.Cols.TimesNs[v.Off+i] }
 // Time returns point i's timestamp.
 func (v ColTrip) Time(i int) time.Time { return time.Unix(0, v.Cols.TimesNs[v.Off+i]).UTC() }
 
+// TimeSub returns point j's timestamp minus point i's, saturating at
+// the Duration range exactly like v.Time(j).Sub(v.Time(i)).
+func (v ColTrip) TimeSub(j, i int) time.Duration {
+	a, b := v.TimeNs(j), v.TimeNs(i)
+	d := a - b
+	switch {
+	case a > b && d < 0:
+		return time.Duration(math.MaxInt64)
+	case a < b && d >= 0:
+		return time.Duration(math.MinInt64)
+	}
+	return time.Duration(d)
+}
+
 // Pos returns point i's projected position.
 func (v ColTrip) Pos(i int) geo.XY { return geo.XY{X: v.Cols.Xs[v.Off+i], Y: v.Cols.Ys[v.Off+i]} }
 

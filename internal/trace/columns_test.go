@@ -2,8 +2,11 @@ package trace
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
+
+	"repro/internal/geo"
 )
 
 func TestArenaAppendTripRoundTrip(t *testing.T) {
@@ -210,6 +213,43 @@ func TestColumnsAppendMatchesAppendTrip(t *testing.T) {
 	for i := 0; i < want.Len(); i++ {
 		if got.Point(i) != want.Point(i) || got.TimeNs(i) != want.TimeNs(i) {
 			t.Fatalf("point %d: %+v, want %+v", i, got.Point(i), want.Point(i))
+		}
+	}
+}
+
+// TestColTripTimeSub compares TimeSub with time.Time.Sub at the
+// column's time extremes, where the int64 difference overflows and
+// must saturate to the Duration range the way Sub does.
+func TestColTripTimeSub(t *testing.T) {
+	const maxNs, minNs = math.MaxInt64, math.MinInt64
+	cases := []struct{ j, i int64 }{
+		{0, 0},
+		{1_000, 0},
+		{0, 1_000},
+		{maxNs, 0},
+		{0, maxNs},
+		{minNs, 0},
+		{0, minNs},
+		{maxNs, -1},     // one past MaxInt64: saturates
+		{-1, maxNs},     // MinInt64 exactly
+		{-2, maxNs},     // one past MinInt64: saturates
+		{maxNs, minNs},  // the widest span, forwards
+		{minNs, maxNs},  // and backwards
+		{maxNs, maxNs},  // equal extremes
+		{minNs + 1, 1},  // MinInt64 exactly
+		{minNs + 1, 2},  // one past MinInt64: saturates
+		{maxNs - 1, -1}, // MaxInt64 exactly
+	}
+	var c Columns
+	for _, tc := range cases {
+		c.Append(1, tc.j, geo.XY{}, 0, 0, 0)
+		c.Append(2, tc.i, geo.XY{}, 0, 0, 0)
+	}
+	for k, tc := range cases {
+		v := ColTrip{Cols: &c, Off: 2 * k, N: 2}
+		want := v.Time(0).Sub(v.Time(1))
+		if got := v.TimeSub(0, 1); got != want {
+			t.Errorf("TimeSub(%d ns, %d ns) = %d, time.Time.Sub gives %d", tc.j, tc.i, got, want)
 		}
 	}
 }

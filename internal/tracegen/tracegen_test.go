@@ -345,20 +345,26 @@ func TestGPSSpikesInjectedAndCleanable(t *testing.T) {
 	if spiked == 0 {
 		t.Fatal("SpikeRate=0.9 injected no spikes")
 	}
-	// The cleaning stage must drop them: after Repair, no surviving
+	// The cleaning stage must drop them: after cleaning, no surviving
 	// consecutive pair implies an impossible speed.
 	dropped := 0
+	arena := trace.NewArena(0)
+	var sc clean.Scratch
 	for _, tr := range trips {
-		r := clean.Repair(tr, clean.Config{})
+		arena.Reset()
+		v, err := arena.AppendTrip(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := clean.RepairColumns(v, clean.Config{}, arena, &sc)
 		dropped += r.Dropped
-		pts := r.Trip.Points
-		for i := 1; i < len(pts); i++ {
-			dt := pts[i].Time.Sub(pts[i-1].Time).Seconds()
+		for i := 1; i < r.Trip.Len(); i++ {
+			dt := r.Trip.TimeSub(i, i-1).Seconds()
 			if dt <= 0.5 {
 				continue
 			}
-			if v := pts[i].Pos.Dist(pts[i-1].Pos) / dt * 3.6; v > 150 {
-				t.Fatalf("impossible speed %f km/h survived cleaning", v)
+			if kmh := r.Trip.Pos(i).Dist(r.Trip.Pos(i-1)) / dt * 3.6; kmh > 150 {
+				t.Fatalf("impossible speed %f km/h survived cleaning", kmh)
 			}
 		}
 	}
