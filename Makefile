@@ -16,10 +16,11 @@ help:
 	@echo "           shared Router: pooled scratch, sharded path cache and"
 	@echo "           parallel per-car workers all run under the race detector)"
 	@echo "  ci       the full gate CI runs: gofmt check + build + vet +"
-	@echo "           test + results-check + race, the cross-mode and"
-	@echo "           ingest round gates at -cpu 1,2,4, the round gates"
-	@echo "           again under -race -count=10, then build + vet of the"
-	@echo "           perfbench/ module, which ./... skips"
+	@echo "           test + results-check + race, the cross-mode, ingest"
+	@echo "           round and trip-buffer gates at -cpu 1,2,4, the round"
+	@echo "           and trip-buffer gates again under -race -count=10,"
+	@echo "           then build + vet of the perfbench/ module, which ./..."
+	@echo "           skips"
 	@echo "  fuzz     run every native fuzz target for FUZZTIME (default 30s)"
 	@echo "           each; seed corpora live in testdata/fuzz/"
 	@echo "  bench    run every benchmark with -benchmem"
@@ -40,8 +41,9 @@ help:
 	@echo "           into results/BENCH_obs.json"
 	@echo "  bench-ingest  snapshot streaming-ingest perf (ordered and"
 	@echo "           bounded-shuffle firehose replay: points/s + p99"
-	@echo "           ingest-to-visible latency, plus NDJSON/binary frame"
-	@echo "           decode) into results/BENCH_ingest.json"
+	@echo "           ingest-to-visible latency, admission alone with obs"
+	@echo "           off and on: ns + B per point, plus NDJSON/binary"
+	@echo "           frame decode) into results/BENCH_ingest.json"
 	@echo "  bench-cluster snapshot multi-node scaling (1 vs 4 worker"
 	@echo "           processes on the paced-feed fleet, cars/s; the 4-shard"
 	@echo "           arm must hold >=2.5x the single-node baseline) into"
@@ -83,6 +85,11 @@ race:
 # fold order, and where a round's stage panic is raised.
 ROUND_TESTS := PushOverlapsRunningRound|RoundPanicRaisedOnceByFirstWaiter|RoundPanicKeepsFoldOrder|RoundsOverlapLikeAdvanceEveryPush
 
+# The ingest engine's open-trip buffer gates: trips on and around the
+# block boundaries read back bit for bit, and no analysis result aliases
+# the arena a round's worker gathers its trips into.
+BUFFER_TESTS := OpenTripBlockBoundaries|PoisonedGatherMatchesSerialFold
+
 # perfbench/ is a module of its own, so ./... never compiles it; these
 # are perfbench/run.sh's offline module settings.
 PERFBENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
@@ -92,11 +99,12 @@ PERFBENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
 # through git keeps build products such as .bench_build/ out).
 # results-check fails when results/ is not what the code writes. The
 # -cpu line reruns the cross-mode gates (cluster = single node, streamed
-# = batch), the ingest flush's parallel-analysis, ordered-fold gate and
-# its round hand-off gates at several core counts: an answer that
-# depends on GOMAXPROCS fails there. The -race -count=10 line repeats
-# the hand-off gates, where two rounds run at once, under the race
-# detector. The last two lines build and vet the benchmark against
+# = batch), the ingest flush's parallel-analysis, ordered-fold gate,
+# its round hand-off gates and its trip-buffer gates at several core
+# counts: an answer that depends on GOMAXPROCS fails there. The -race
+# -count=10 line repeats the hand-off gates, where two rounds run at
+# once, and the trip-buffer gates, whose rounds gather trips on several
+# workers, under the race detector. The last two lines build and vet the benchmark against
 # this checkout, so a change to a name it uses fails here rather than
 # when the benchmark runs; they write no files.
 ci:
@@ -107,8 +115,8 @@ ci:
 	$(GO) test ./...
 	$(MAKE) --no-print-directory results-check
 	$(GO) test -race ./...
-	$(GO) test -cpu 1,2,4 -run 'MatchesSingleNode|MatchesBatch|FlushIsSequentialFold|$(ROUND_TESTS)' ./internal/cluster ./internal/ingest ./internal/sink
-	$(GO) test -race -count=10 -run '$(ROUND_TESTS)|FlushIsSequentialFold' ./internal/ingest
+	$(GO) test -cpu 1,2,4 -run 'MatchesSingleNode|MatchesBatch|FlushIsSequentialFold|$(ROUND_TESTS)|$(BUFFER_TESTS)' ./internal/cluster ./internal/ingest ./internal/sink
+	$(GO) test -race -count=10 -run '$(ROUND_TESTS)|FlushIsSequentialFold|$(BUFFER_TESTS)' ./internal/ingest
 	$(PERFBENCH_ENV) $(GO) build -C perfbench -o /dev/null .
 	$(PERFBENCH_ENV) $(GO) vet -C perfbench ./...
 
@@ -220,10 +228,11 @@ bench-obs:
 # Streaming-ingest perf trajectory: the 32-car differential fixture
 # replayed as an event-time firehose (ordered, and shuffled within the
 # lateness bound), reporting sustained points/s and the p99
-# ingest-to-visible latency, plus the bare NDJSON/binary frame
-# decoders; medians over 5 single-shot runs (one op is a whole fleet
-# replay) into results/BENCH_ingest.json.
-ingest_notes := 32-car fleet x 3 trips flattened to a point firehose, 30s lateness, watermark every 256 points; ordered vs bounded-shuffle replay through admission/watermark/trip-close into the sink, plus NDJSON vs TAXIPNTB decode
+# ingest-to-visible latency, admission alone into 600 open trips (ns
+# and B per point, without and with the registry and lineage), plus
+# the bare NDJSON/binary frame decoders; medians over 5 single-shot
+# runs (one op is a whole fleet replay) into results/BENCH_ingest.json.
+ingest_notes := 32-car fleet x 3 trips flattened to a point firehose, 30s lateness, watermark every 256 points; ordered vs bounded-shuffle replay through admission/watermark/trip-close into the sink; admission alone: 600 interleaved open trips x 512 points in 512-point batches, no watermark step, obs=off vs registry+lineage; plus NDJSON vs TAXIPNTB decode
 bench-ingest:
 	$(call bench_snapshot,ingest,^BenchmarkIngest,-benchmem -benchtime=1x -count=5,./internal/ingest/,$(ingest_notes))
 

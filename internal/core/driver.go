@@ -22,11 +22,11 @@ import (
 // sequence clean → segment → odselect → mapmatch → mapattr. It runs
 // on struct-of-arrays columns: batch input trips are copied (or
 // binary-decoded) into a pooled per-car arena once, a streamed trip
-// arrives as a view of the columns its caller buffered, the cleaning
-// kernel appends realigned trips to the arena, segmentation yields
-// zero-copy subviews, and only the kept segments are materialised
-// back into row form — the CarResult contract, and every stage from
-// OD selection on, speaks rows.
+// arrives as a view of columns its caller gathered it into, the
+// cleaning kernel appends realigned trips to the arena, segmentation
+// yields zero-copy subviews, and only the kept segments are
+// materialised back into row form — the CarResult contract, and every
+// stage from OD selection on, speaks rows.
 //
 // Batch is a bounded stream: the batch entries (ProcessContext,
 // ProcessBinaryContext) drive a whole car inside the per-car envelope
@@ -56,7 +56,7 @@ func (p *Pipeline) getScratch() *carScratch {
 
 func (p *Pipeline) putScratch(sc *carScratch) {
 	sc.arena.Reset()
-	clear(sc.views) // a streamed view points into its caller's buffer
+	clear(sc.views) // a streamed view points into its caller's columns
 	sc.views = sc.views[:0]
 	sc.cleaned = sc.cleaned[:0]
 	sc.segments = sc.segments[:0]
@@ -152,13 +152,14 @@ func (p *Pipeline) ProcessBinaryContext(ctx context.Context, car int, r io.Reade
 
 // ProcessTrip drives one trip through the stages — the streaming
 // entry, which internal/ingest calls once per trip its watermark
-// closes, with a view of the columns it buffered the trip in. The
-// stages read the view in place and never write it. It has the batch
-// entries' input boundary but none of their per-car envelope (no
-// pipeline_car span, no car root span) and commits nothing: the caller
-// commits the returned stats into its own ledger with Ledger.Commit.
-// On error the CarResult holds what the stages produced before
-// failing.
+// closes, with a view of columns it gathered the trip into. The stages
+// read the view in place and never write it, and the result refers to
+// none of its rows, so the caller may reuse the columns once
+// ProcessTrip returns. It has the batch entries' input boundary but
+// none of their per-car envelope (no pipeline_car span, no car root
+// span) and commits nothing: the caller commits the returned stats
+// into its own ledger with Ledger.Commit. On error the CarResult holds
+// what the stages produced before failing.
 func (p *Pipeline) ProcessTrip(ctx context.Context, trip trace.ColTrip) (CarResult, error) {
 	sc := p.getScratch()
 	defer p.putScratch(sc)

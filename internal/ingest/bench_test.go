@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -113,6 +115,60 @@ func BenchmarkIngestReplay(b *testing.B) {
 		ShuffleWindows(shuffled, 32, 20_000, 7)
 		benchReplay(b, shuffled)
 	})
+}
+
+// BenchmarkIngestAdmit isolates admission: 600 interleaved open trips,
+// about the firehose's open-trip peak, take 512 points each in
+// 512-point batches, into an engine that never steps, so no trip
+// closes and no round runs. The obs=on arm adds the registry and
+// lineage a serving node has.
+func BenchmarkIngestAdmit(b *testing.B) {
+	p, _ := benchFixture(b)
+	const trips, perTrip, batch = 600, 512, 512
+	pts := make([]Point, 0, trips*perTrip)
+	for j := 0; j < perTrip; j++ {
+		for car := 1; car <= trips; car++ {
+			pts = append(pts, syntheticPoint(p, car, int64(car), j, int64(1+j)))
+		}
+	}
+	for _, arm := range []struct {
+		name string
+		obs  bool
+	}{{"obs=off", false}, {"obs=on", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			var bytes uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cfg := Config{Pipeline: p, WatermarkEvery: math.MaxInt}
+				if arm.obs {
+					cfg.Metrics = obs.NewRegistry()
+					cfg.Lineage = obs.NewLineage(cfg.Metrics)
+				}
+				e, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				for k := 0; k < len(pts); k += batch {
+					e.PushBatch(pts[k : k+batch])
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				bytes += after.TotalAlloc - before.TotalAlloc
+				if st := e.Stats(); st.BufferedPoints != len(pts) {
+					b.Fatalf("buffered %d of %d points", st.BufferedPoints, len(pts))
+				}
+				b.StartTimer()
+			}
+			n := float64(b.N) * float64(len(pts))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/point")
+			b.ReportMetric(float64(bytes)/n, "B/point")
+		})
+	}
 }
 
 // BenchmarkIngestDecode isolates the wire codecs: points/s through

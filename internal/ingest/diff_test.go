@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -511,15 +512,42 @@ func TestFlushIsSequentialFold(t *testing.T) {
 	fx := newDiffFixture(t)
 	shuffled := append([]Point(nil), fx.pts...)
 	ShuffleWindows(shuffled, 32, 20_000, 7)
-	t.Run("every-2048", func(t *testing.T) { fx.checkSequentialFold(t, shuffled, 2048) })
-	t.Run("close-only", func(t *testing.T) { fx.checkSequentialFold(t, shuffled, 0) })
+	t.Run("every-2048", func(t *testing.T) { fx.checkSequentialFold(t, shuffled, 2048, nil) })
+	t.Run("close-only", func(t *testing.T) { fx.checkSequentialFold(t, shuffled, 0, nil) })
+}
+
+// TestPoisonedGatherMatchesSerialFold: no analysis result aliases the
+// arena its trip was gathered into. Every gathered view is poisoned
+// (NaN positions and measurements, sentinel point ids and times) as
+// soon as its trip's ProcessTrip returns, before the worker gathers
+// its next trip into the same arena and before the round folds; every
+// epoch and the ledger rows must still equal the serial fold's.
+func TestPoisonedGatherMatchesSerialFold(t *testing.T) {
+	fx := newDiffFixture(t)
+	shuffled := append([]Point(nil), fx.pts...)
+	ShuffleWindows(shuffled, 32, 20_000, 7)
+	var poisoned atomic.Int64
+	trips := fx.checkSequentialFold(t, shuffled, 2048, func(v trace.ColTrip) {
+		for i := v.Off; i < v.Off+v.N; i++ {
+			v.Cols.PointIDs[i], v.Cols.TimesNs[i] = math.MinInt32, math.MinInt64
+			v.Cols.Xs[i], v.Cols.Ys[i] = math.NaN(), math.NaN()
+			v.Cols.Speeds[i], v.Cols.Fuels[i], v.Cols.Dists[i] = math.NaN(), math.NaN(), math.NaN()
+		}
+		poisoned.Add(1)
+	})
+	if n := poisoned.Load(); n != int64(trips) {
+		t.Fatalf("poisoned %d views, the engine analysed %d trips", n, trips)
+	}
 }
 
 // checkSequentialFold pushes pts into an engine in batches of every
 // points (every <= 0: one batch) and drives its rounds by hand, as
 // Advance and Close do, folding each round's closed trips serially
-// into a reference sink and ledger before the engine flushes them.
-func (fx *diffFixture) checkSequentialFold(t *testing.T, pts []Point, every int) {
+// into a reference sink and ledger before the engine flushes them. The
+// reference gathers each trip as the engine does. analysed, if not
+// nil, becomes the engine's hook on each view it analysed. It returns
+// the number of trips folded.
+func (fx *diffFixture) checkSequentialFold(t *testing.T, pts []Point, every int, analysed func(trace.ColTrip)) (trips int) {
 	snk, ref := newDiffSink(t, fx.p), newDiffSink(t, fx.p)
 	lin, refLin := obs.NewLineage(nil), obs.NewLineage(nil)
 	refLedger := core.NewLedger(nil, refLin)
@@ -534,7 +562,9 @@ func (fx *diffFixture) checkSequentialFold(t *testing.T, pts []Point, every int)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.analysed = analysed
 
+	var arena trace.Arena
 	multi := 0 // rounds that closed more than one trip
 	round := func(closing bool) {
 		e.stepMu.Lock()
@@ -549,11 +579,12 @@ func (fx *diffFixture) checkSequentialFold(t *testing.T, pts []Point, every int)
 		if len(closed) > 1 {
 			multi++
 		}
+		trips += len(closed)
 		absorbed := false
 		for _, ct := range closed {
 			// A failed trip folds what the stages produced, as in flush.
-			cr, _ := fx.p.ProcessTrip(context.Background(),
-				trace.ColTrip{ID: ct.tb.id, CarID: ct.car, Cols: &ct.tb.cols, N: ct.tb.cols.Len()})
+			arena.Reset()
+			cr, _ := fx.p.ProcessTrip(context.Background(), ct.tb.gather(&arena, ct.car))
 			refLedger.Commit(&cr)
 			if len(cr.Transitions) > 0 {
 				ref.AbsorbTransitions(ct.car, cr.Transitions)
@@ -589,6 +620,7 @@ func (fx *diffFixture) checkSequentialFold(t *testing.T, pts []Point, every int)
 	if got, want := stageRows(lin), stageRows(refLin); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ledger rows %+v, serial fold %+v", got, want)
 	}
+	return trips
 }
 
 // sameSnapshotBits fails unless got and want, publish wall times

@@ -134,6 +134,13 @@ type Engine struct {
 	// sink exactly once, and a concurrent second caller returns only
 	// after the first has sealed.
 	closeOnce sync.Once
+
+	// arenas holds the *trace.Arena each analysis worker gathers its
+	// trips into, so rounds reuse them.
+	arenas sync.Pool
+	// analysed, when set, runs on each gathered view once its trip's
+	// analysis has returned; a test hook, nil in production.
+	analysed func(trace.ColTrip)
 }
 
 // carState is one device's online state machine.
@@ -157,13 +164,64 @@ func (cs *carState) trip(id int64) *tripBuf {
 	return nil
 }
 
-// tripBuf buffers one open trip in arrival order, in the columns the
-// stage driver reads at flush.
+// blockLen is the number of points one trip buffer block holds: the
+// eight per-point fields of 64 points take 3,840 B, inside Go's
+// 4,096 B size class.
+const blockLen = 64
+
+// block is blockLen points of one open trip, one array per field. A
+// block never grows or moves: admission writes one slot of its trip's
+// last block, and the blocks go to the GC with the closed trip.
+type block struct {
+	seq                     [blockLen]int32
+	timeNs                  [blockLen]int64
+	recvNs                  [blockLen]int64 // wall receive time, for visible latency
+	x, y, speed, fuel, dist [blockLen]float64
+}
+
+// tripBuf buffers one open trip's admitted points in arrival order:
+// point i is slot i%blockLen of blocks[i/blockLen].
 type tripBuf struct {
 	id           int64
 	minMs, maxMs int64
-	cols         trace.Columns
-	recvNs       []int64 // wall receive time per point, for visible latency
+	n            int // points buffered
+	blocks       []*block
+}
+
+// add buffers one admitted point at position pos, received at recvNs.
+func (tb *tripBuf) add(p *Point, pos geo.XY, recvNs int64) {
+	i := uint(tb.n) % blockLen
+	if i == 0 {
+		tb.blocks = append(tb.blocks, new(block))
+	}
+	b := tb.blocks[len(tb.blocks)-1]
+	b.seq[i] = int32(p.Seq)
+	b.timeNs[i] = p.TimeMs * int64(time.Millisecond)
+	b.recvNs[i] = recvNs
+	b.x[i], b.y[i] = pos.X, pos.Y
+	b.speed[i], b.fuel[i], b.dist[i] = p.SpeedKmh, p.FuelMl, p.DistM
+	tb.n++
+}
+
+// filled returns the number of points block k holds.
+func (tb *tripBuf) filled(k int) int { return min(blockLen, tb.n-k*blockLen) }
+
+// gather copies the trip's points, in arrival order, into rows of a
+// and returns them as a view of car's trip.
+func (tb *tripBuf) gather(a *trace.Arena, car int) trace.ColTrip {
+	v := a.Alloc(tb.id, car, tb.n)
+	c := v.Cols
+	for k, b := range tb.blocks {
+		at, m := v.Off+k*blockLen, tb.filled(k)
+		copy(c.PointIDs[at:], b.seq[:m])
+		copy(c.TimesNs[at:], b.timeNs[:m])
+		copy(c.Xs[at:], b.x[:m])
+		copy(c.Ys[at:], b.y[:m])
+		copy(c.Speeds[at:], b.speed[:m])
+		copy(c.Fuels[at:], b.fuel[:m])
+		copy(c.Dists[at:], b.dist[:m])
+	}
+	return v
 }
 
 // byStart orders a car's open trips by first event time, then id.
@@ -273,6 +331,10 @@ func (e *Engine) PushBatch(pts []Point) PushResult {
 			res.Dropped[reason]++
 		}
 	}
+	e.received += uint64(len(pts))
+	e.admitted += uint64(res.Admitted)
+	e.met.bufPoints.Add(int64(res.Admitted))
+	e.lin.ingest.Add(uint64(res.Admitted), uint64(res.Admitted))
 	e.sinceAdv += len(pts)
 	if e.sinceAdv >= e.cfg.WatermarkEvery {
 		e.sinceAdv = 0
@@ -300,7 +362,6 @@ func (e *Engine) PushBatch(pts []Point) PushResult {
 // bounds (checkBounds) has no representation in the trip buffer and
 // is dropped as non_finite too, however it was pushed.
 func (e *Engine) admitLocked(p *Point, recvNs int64) (obs.DropReason, bool) {
-	e.received++
 	pos := e.proj.ToXY(geo.Point{Lon: p.Lon, Lat: p.Lat})
 	if checkBounds(*p) != nil || p.TimeMs == 0 || !finite(pos.X) || !finite(pos.Y) ||
 		!finite(p.SpeedKmh) || !finite(p.FuelMl) || !finite(p.DistM) {
@@ -318,12 +379,14 @@ func (e *Engine) admitLocked(p *Point, recvNs int64) (obs.DropReason, bool) {
 		reason, dc := e.staleReason(cs, p)
 		return e.dropLocked(p.Car, reason, dc), false
 	}
-	if _, done := cs.closed[p.Trip]; done {
-		reason, dc := e.staleReason(cs, p)
-		return e.dropLocked(p.Car, reason, dc), false
-	}
 	tb := cs.trip(p.Trip)
 	if tb == nil {
+		// Open and closed ids are disjoint: a step moves an id from the
+		// open trips to closed, and nothing reopens it.
+		if _, done := cs.closed[p.Trip]; done {
+			reason, dc := e.staleReason(cs, p)
+			return e.dropLocked(p.Car, reason, dc), false
+		}
 		if len(cs.open) == 0 {
 			e.active = append(e.active, cs)
 		}
@@ -331,8 +394,7 @@ func (e *Engine) admitLocked(p *Point, recvNs int64) (obs.DropReason, bool) {
 		cs.open = append(cs.open, tb)
 		e.met.openTrips.Add(1)
 	}
-	tb.cols.Append(int32(p.Seq), p.TimeMs*int64(time.Millisecond), pos, p.SpeedKmh, p.FuelMl, p.DistM)
-	tb.recvNs = append(tb.recvNs, recvNs)
+	tb.add(p, pos, recvNs)
 	if p.TimeMs < tb.minMs {
 		tb.minMs = p.TimeMs
 	}
@@ -346,9 +408,6 @@ func (e *Engine) admitLocked(p *Point, recvNs int64) (obs.DropReason, bool) {
 		e.globalMaxMs = p.TimeMs
 	}
 	e.seenPoints = true
-	e.admitted++
-	e.met.bufPoints.Add(1)
-	e.lin.ingest.Add(1, 1)
 	return "", true
 }
 
@@ -550,7 +609,7 @@ func (e *Engine) advanceLocked() []closedTrip {
 			if wm > bound {
 				cs.closed[tb.id] = struct{}{}
 				out = append(out, closedTrip{car: cs.car, tb: tb})
-				points += tb.cols.Len()
+				points += tb.n
 			} else {
 				open = append(open, tb)
 			}
@@ -613,8 +672,10 @@ func (e *Engine) flush(closed []closedTrip, prev *round) {
 	// Every point of the round became queryable with that publish.
 	end := e.cfg.Now()
 	for _, ct := range closed {
-		for _, r := range ct.tb.recvNs {
-			e.met.latency.Observe(float64(end.UnixNano()-r) / 1e9)
+		for k, b := range ct.tb.blocks {
+			for _, r := range b.recvNs[:ct.tb.filled(k)] {
+				e.met.latency.Observe(float64(end.UnixNano()-r) / 1e9)
+			}
 		}
 	}
 	e.met.flushes.Inc()
@@ -637,22 +698,33 @@ type tripResult struct {
 // map-matching → attributes) and returns the results indexed like
 // closed. A round of several trips spreads them over
 // min(GOMAXPROCS, len(closed)) workers, the caller included, each
-// claiming the next trip in closed's order. A trip's analysis reads
-// only its own buffer and the pipeline's concurrency-safe stages, so
-// each result is the same whichever worker computes it. A panic in a
-// helper is raised again on the caller, as it would be serially.
+// claiming the next trip in closed's order. A worker gathers each trip
+// it claims into one arena, which it resets for the next: the result
+// holds copies, never rows of the arena. A trip's analysis reads only
+// its own points and the pipeline's concurrency-safe stages, so each
+// result is the same whichever worker computes it. A panic in a helper
+// is raised again on the caller, as it would be serially.
 func (e *Engine) analyse(closed []closedTrip) []tripResult {
 	res := make([]tripResult, len(closed))
 	var next atomic.Int64
 	work := func() {
+		arena, _ := e.arenas.Get().(*trace.Arena)
+		if arena == nil {
+			arena = trace.NewArena(0)
+		}
 		for {
 			i := int(next.Add(1) - 1)
 			if i >= len(closed) {
+				e.arenas.Put(arena)
 				return
 			}
 			ct := closed[i]
-			trip := trace.ColTrip{ID: ct.tb.id, CarID: ct.car, Cols: &ct.tb.cols, N: ct.tb.cols.Len()}
+			arena.Reset()
+			trip := ct.tb.gather(arena, ct.car)
 			res[i].cr, res[i].err = e.cfg.Pipeline.ProcessTrip(context.Background(), trip)
+			if e.analysed != nil {
+				e.analysed(trip)
+			}
 		}
 	}
 
@@ -760,7 +832,7 @@ func (e *Engine) Stats() Stats {
 	for _, cs := range e.active {
 		s.OpenTrips += len(cs.open)
 		for _, tb := range cs.open {
-			s.BufferedPoints += tb.cols.Len()
+			s.BufferedPoints += tb.n
 		}
 	}
 	return s

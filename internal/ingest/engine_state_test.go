@@ -1,10 +1,14 @@
 package ingest
 
 import (
+	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -187,5 +191,132 @@ func TestCloseTwiceCompletesEachCarOnce(t *testing.T) {
 	if again := s.Snapshot(); again.Epoch != first.Epoch || again.CarsIngested != first.CarsIngested {
 		t.Fatalf("another Close moved the snapshot: epoch %d -> %d, cars %d -> %d",
 			first.Epoch, again.Epoch, first.CarsIngested, again.CarsIngested)
+	}
+}
+
+// bufRow is one buffered point as the stage driver reads it: floats as
+// their bit patterns, so equal rows are bit-identical.
+type bufRow struct {
+	seq    int32
+	timeNs int64
+	bits   [5]uint64 // x, y, speed, fuel, dist
+}
+
+// TestOpenTripBlockBoundaries: trips whose lengths fall on and around
+// the buffer's block boundaries, interleaved and pushed in shuffled
+// batches of random size, each reach analysis as a view bit-identical
+// to their points in arrival order. Before Close the buffered-point
+// count and gauge equal the points pushed; after it the visible
+// latency histogram holds one observation per admitted point.
+func TestOpenTripBlockBoundaries(t *testing.T) {
+	p := testPipeline(t)
+	reg := obs.NewRegistry()
+	e := newTestEngine(t, Config{Metrics: reg, WatermarkEvery: math.MaxInt})
+	type tripKey struct {
+		car int
+		id  int64
+	}
+	lengths := []int{1, blockLen - 1, blockLen, blockLen + 1, 2 * blockLen, 2*blockLen + 1, 1000}
+	var pts []Point
+	for k, n := range lengths {
+		for j := 0; j < n; j++ {
+			pt := syntheticPoint(p, k%3+1, int64(10+k), j, int64(1+j))
+			pt.Lon += float64(j) * 1e-6
+			pt.Lat -= float64(k) * 1e-6
+			pt.SpeedKmh, pt.FuelMl, pt.DistM = float64(j)/3, float64(k)+float64(j)/7, float64(j)*1.1
+			pts = append(pts, pt)
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+
+	want := map[tripKey][]bufRow{}
+	for _, pt := range pts {
+		pos := p.City.DB.Proj.ToXY(geo.Point{Lon: pt.Lon, Lat: pt.Lat})
+		k := tripKey{pt.Car, pt.Trip}
+		want[k] = append(want[k], bufRow{int32(pt.Seq), pt.TimeMs * int64(time.Millisecond), [5]uint64{
+			math.Float64bits(pos.X), math.Float64bits(pos.Y),
+			math.Float64bits(pt.SpeedKmh), math.Float64bits(pt.FuelMl), math.Float64bits(pt.DistM)}})
+	}
+	var mu sync.Mutex
+	got := map[tripKey][]bufRow{}
+	e.analysed = func(v trace.ColTrip) {
+		rows := make([]bufRow, v.Len())
+		for i := range rows {
+			rows[i] = bufRow{v.PointID(i), v.TimeNs(i), [5]uint64{
+				math.Float64bits(v.Pos(i).X), math.Float64bits(v.Pos(i).Y),
+				math.Float64bits(v.Speed(i)), math.Float64bits(v.Fuel(i)), math.Float64bits(v.Dist(i))}}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		got[tripKey{v.CarID, v.ID}] = rows
+	}
+
+	for pushed := 0; pushed < len(pts); {
+		n := min(1+rng.Intn(200), len(pts)-pushed)
+		if res := e.PushBatch(pts[pushed : pushed+n]); res.Admitted != n {
+			t.Fatalf("push of %d points admitted %d: %+v", n, res.Admitted, res)
+		}
+		pushed += n
+		st := e.Stats()
+		if gauge := reg.Gauge("ingest_buffered_points").Value(); st.BufferedPoints != pushed || gauge != int64(pushed) {
+			t.Fatalf("after %d points: buffered %d, ingest_buffered_points %d", pushed, st.BufferedPoints, gauge)
+		}
+	}
+	e.Close()
+
+	if len(got) != len(lengths) {
+		t.Fatalf("analysis saw %d trips, want %d", len(got), len(lengths))
+	}
+	for k, w := range want {
+		g := got[k]
+		if len(g) != len(w) {
+			t.Fatalf("car %d trip %d: view of %d points, pushed %d", k.car, k.id, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("car %d trip %d: point %d reads %+v, pushed %+v", k.car, k.id, i, g[i], w[i])
+			}
+		}
+	}
+	if n := reg.Histogram("ingest_visible_latency_seconds").Count(); n != uint64(len(pts)) {
+		t.Fatalf("ingest_visible_latency_seconds counts %d points, %d were admitted", n, len(pts))
+	}
+}
+
+// TestAdmissionAllocatesPerBlock: admission allocates a block per
+// blockLen points, not a slice growth per point. A warm engine that
+// never steps admits 64 interleaved open trips of 2,048 points each in
+// 512-point batches; past the first batch, which opens the trips, it
+// may allocate at most 72 B and 1/48 allocations per point. A 4,096 B
+// block per 64 points is 64 B and 1/64; the rest is the block lists
+// growing by doubling.
+func TestAdmissionAllocatesPerBlock(t *testing.T) {
+	p := testPipeline(t)
+	e := newTestEngine(t, Config{WatermarkEvery: math.MaxInt})
+	const trips, perTrip, batch = 64, 2048, 512
+	pts := make([]Point, 0, trips*perTrip)
+	for j := 0; j < perTrip; j++ {
+		for k := 0; k < trips; k++ {
+			pts = append(pts, syntheticPoint(p, 1+k/4, int64(k), j, int64(1+j)))
+		}
+	}
+	e.PushBatch(pts[:batch])
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := batch; i < len(pts); i += batch {
+		if res := e.PushBatch(pts[i : i+batch]); res.Admitted != batch {
+			t.Fatalf("push admitted %d of %d points", res.Admitted, batch)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(len(pts) - batch)
+	bytes, allocs := float64(after.TotalAlloc-before.TotalAlloc)/n, float64(after.Mallocs-before.Mallocs)/n
+	t.Logf("admission: %.1f B and %.4f allocations per point", bytes, allocs)
+	if bytes > 72 || allocs > 1.0/48 {
+		t.Fatalf("admission allocates %.1f B and %.4f allocations per point, want at most 72 B and 1/48",
+			bytes, allocs)
 	}
 }

@@ -327,8 +327,9 @@ func TestConcurrentPush(t *testing.T) {
 // TestVisibleLatencyStampedPerRound: every point of a flush round
 // becomes queryable with the round's one publish, so trips pushed
 // together and closed in one round report equal ingest-to-visible
-// latency, however long each trip's analysis took. The clock steps
-// one second per reading.
+// latency, however long each trip's analysis took. Car 3's trip spans
+// three buffer blocks, and each of its points is stamped once. The
+// clock steps one second per reading.
 func TestVisibleLatencyStampedPerRound(t *testing.T) {
 	var ticks atomic.Int64
 	reg := obs.NewRegistry()
@@ -341,16 +342,20 @@ func TestVisibleLatencyStampedPerRound(t *testing.T) {
 	p := testPipeline(t)
 
 	var pts []Point
-	for car := 1; car <= 2; car++ {
-		for i := int64(1); i <= 10; i++ {
+	for car := 1; car <= 3; car++ {
+		n := int64(10)
+		if car == 3 {
+			n = 2*blockLen + 10
+		}
+		for i := int64(1); i <= n; i++ {
 			pts = append(pts, syntheticPoint(p, car, int64(car), int(i), i))
 		}
 	}
 	e.PushBatch(pts)
 	e.Close()
 
-	if st := e.Stats(); st.ClosedTrips != 2 {
-		t.Fatalf("closed trips = %d, want both in the close round", st.ClosedTrips)
+	if st := e.Stats(); st.ClosedTrips != 3 {
+		t.Fatalf("closed trips = %d, want all three in the close round", st.ClosedTrips)
 	}
 	h := reg.Histogram("ingest_visible_latency_seconds")
 	if h.Count() != uint64(len(pts)) {

@@ -25,12 +25,16 @@
 // to the batch pipeline (see the differential tests).
 //
 // State model: each open trip buffers its admitted points, projected,
-// in the trace.Columns the stage driver reads, so a closing trip goes
-// to core.Pipeline.ProcessTrip as a view of its own buffer, with no
-// row copy in between. The engine keeps the set of cars with an open
-// trip; the watermark step, the close scan and Stats walk that set,
-// so their cost follows the active fleet rather than every car the
-// stream has seen. Each car remembers the ids of its closed trips.
+// in arrival order, in fixed blocks of 64 points with one array per
+// field, so admitting a point writes one slot and a trip allocates a
+// block per 64 points; the blocks go to the GC with the closed trip.
+// A round's analysis worker copies each trip it claims into columns of
+// an arena it reuses, and core.Pipeline.ProcessTrip reads that view;
+// no row exists between admission and the stage driver. The engine
+// keeps the set of cars with an open trip; the watermark step, the
+// close scan and Stats walk that set, so their cost follows the active
+// fleet rather than every car the stream has seen. Each car remembers
+// the ids of its closed trips.
 //
 // Flush model: a watermark step runs on the caller's goroutine and
 // decides the watermark, which trips close and every drop reason; the

@@ -21,8 +21,9 @@ import (
 // cleaning and segmentation kernels append derived trips to the same
 // arena, and resets it before the next car. ColTrip values are cheap
 // views (offset + length) into the arena and must not outlive the
-// reset that reclaims their rows. Columns may also stand alone, filled
-// one point at a time with Append, as a streaming trip buffer.
+// reset that reclaims their rows. A streamed trip reaches the pipeline
+// the same way: the ingest engine copies its buffered points into an
+// arena with Alloc and hands over that view.
 
 // Columns holds route-point fields as parallel slices. All slices
 // always have equal length. Times are unix nanoseconds (full in-memory
@@ -40,17 +41,6 @@ type Columns struct {
 
 // Len returns the number of stored points.
 func (c *Columns) Len() int { return len(c.PointIDs) }
-
-// Append adds one point as a new row.
-func (c *Columns) Append(id int32, timeNs int64, pos geo.XY, speedKmh, fuelMl, distM float64) {
-	c.PointIDs = append(c.PointIDs, id)
-	c.TimesNs = append(c.TimesNs, timeNs)
-	c.Xs = append(c.Xs, pos.X)
-	c.Ys = append(c.Ys, pos.Y)
-	c.Speeds = append(c.Speeds, speedKmh)
-	c.Fuels = append(c.Fuels, fuelMl)
-	c.Dists = append(c.Dists, distM)
-}
 
 // reset empties the columns, keeping capacity.
 func (c *Columns) reset() {

@@ -5,8 +5,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"repro/internal/geo"
 )
 
 func TestArenaAppendTripRoundTrip(t *testing.T) {
@@ -192,31 +190,6 @@ func BenchmarkStartEndTime(b *testing.B) {
 	b.Run("marked", run)
 }
 
-// TestColumnsAppendMatchesAppendTrip builds a trip row by row with
-// Columns.Append and requires the view to read back exactly the points
-// Arena.AppendTrip stores for the same trip.
-func TestColumnsAppendMatchesAppendTrip(t *testing.T) {
-	orig := mkTrip(7, 0, 0, 100, 0, 100, 50)
-	orig.CarID = 3
-	want, err := NewArena(0).AppendTrip(orig)
-	if err != nil {
-		t.Fatalf("AppendTrip: %v", err)
-	}
-	var cols Columns
-	for _, p := range orig.Points {
-		cols.Append(int32(p.PointID), p.Time.UnixNano(), p.Pos, p.SpeedKmh, p.FuelMl, p.DistM)
-	}
-	got := ColTrip{ID: orig.ID, CarID: orig.CarID, Cols: &cols, N: cols.Len()}
-	if got.Len() != want.Len() {
-		t.Fatalf("len = %d, want %d", got.Len(), want.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		if got.Point(i) != want.Point(i) || got.TimeNs(i) != want.TimeNs(i) {
-			t.Fatalf("point %d: %+v, want %+v", i, got.Point(i), want.Point(i))
-		}
-	}
-}
-
 // TestColTripTimeSub compares TimeSub with time.Time.Sub at the
 // column's time extremes, where the int64 difference overflows and
 // must saturate to the Duration range the way Sub does.
@@ -240,13 +213,12 @@ func TestColTripTimeSub(t *testing.T) {
 		{minNs + 1, 2},  // one past MinInt64: saturates
 		{maxNs - 1, -1}, // MaxInt64 exactly
 	}
-	var c Columns
-	for _, tc := range cases {
-		c.Append(1, tc.j, geo.XY{}, 0, 0, 0)
-		c.Append(2, tc.i, geo.XY{}, 0, 0, 0)
+	all := NewArena(0).Alloc(0, 0, 2*len(cases))
+	for k, tc := range cases {
+		all.Cols.TimesNs[2*k], all.Cols.TimesNs[2*k+1] = tc.j, tc.i
 	}
 	for k, tc := range cases {
-		v := ColTrip{Cols: &c, Off: 2 * k, N: 2}
+		v := all.Sub(2*k, 2*k+2)
 		want := v.Time(0).Sub(v.Time(1))
 		if got := v.TimeSub(0, 1); got != want {
 			t.Errorf("TimeSub(%d ns, %d ns) = %d, time.Time.Sub gives %d", tc.j, tc.i, got, want)
