@@ -130,6 +130,7 @@ FUZZ_TARGETS = \
 	./internal/segment:FuzzSplit \
 	./internal/grid:FuzzParseCellID \
 	./internal/geo:FuzzProjectionRoundTrip \
+	./internal/geo:FuzzPolylineWithin \
 	./internal/serve:FuzzQueryParsing \
 	./internal/ingest:FuzzPointCodec \
 	./internal/trace:FuzzReadCSV \

@@ -73,7 +73,8 @@ func (db *Database) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV loads records produced by WriteCSV into db.
+// ReadCSV loads records produced by WriteCSV into db, then builds the
+// spatial indexes its queries read.
 func (db *Database) ReadCSV(r io.Reader) error {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -81,6 +82,7 @@ func (db *Database) ReadCSV(r io.Reader) error {
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
+			db.buildIndexes()
 			return nil
 		}
 		if err != nil {

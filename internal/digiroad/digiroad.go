@@ -128,14 +128,17 @@ type Database struct {
 	objects  []*PointObject
 	byID     map[int]*TrafficElement
 
+	// mu guards the slices above, the ID counters and the two spatial
+	// indexes. Each index is nil while stale: AddElement drops only the
+	// element index and AddObject only the object index, and a query
+	// rebuilds only the index it reads.
 	mu          sync.Mutex
-	elemIndex   *geo.RTree
-	objIndex    *geo.RTree
 	nextElemID  int
 	nextObjID   int
-	indexStale  bool
-	elemIndexed []*TrafficElement
-	objIndexed  []*PointObject
+	elemIndex   *geo.RTree
+	elemIndexed []*TrafficElement // elemIndex's item IDs index this
+	objIndex    *geo.RTree
+	objIndexed  []*PointObject // objIndex's item IDs index this
 }
 
 // NewDatabase returns an empty database whose geometry plane is centred
@@ -146,7 +149,6 @@ func NewDatabase(origin geo.Point) *Database {
 		byID:       make(map[int]*TrafficElement),
 		nextElemID: 1,
 		nextObjID:  1,
-		indexStale: true,
 	}
 }
 
@@ -171,7 +173,7 @@ func (db *Database) AddElement(e TrafficElement) (*TrafficElement, error) {
 	stored := e
 	db.elements = append(db.elements, &stored)
 	db.byID[stored.ID] = &stored
-	db.indexStale = true
+	db.elemIndex, db.elemIndexed = nil, nil
 	return &stored, nil
 }
 
@@ -188,7 +190,7 @@ func (db *Database) AddObject(o PointObject) *PointObject {
 	}
 	stored := o
 	db.objects = append(db.objects, &stored)
-	db.indexStale = true
+	db.objIndex, db.objIndexed = nil, nil
 	return &stored
 }
 
@@ -254,41 +256,58 @@ func (db *Database) Bounds() geo.Rect {
 	return r
 }
 
-func (db *Database) ensureIndexes() {
+// elementIndex returns the element R-tree and the elements its item IDs
+// index, building both first if an element was added since the last
+// build. The indexed slice keeps insertion order.
+func (db *Database) elementIndex() (*geo.RTree, []*TrafficElement) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if !db.indexStale && db.elemIndex != nil {
-		return
+	if db.elemIndex == nil {
+		items := make([]geo.RTreeItem, len(db.elements))
+		db.elemIndexed = append([]*TrafficElement(nil), db.elements...)
+		for i, e := range db.elemIndexed {
+			items[i] = geo.RTreeItem{Rect: e.Geom.Bounds(), ID: i}
+		}
+		db.elemIndex = geo.BuildRTree(items, 0)
 	}
-	elemItems := make([]geo.RTreeItem, len(db.elements))
-	db.elemIndexed = append([]*TrafficElement(nil), db.elements...)
-	for i, e := range db.elemIndexed {
-		elemItems[i] = geo.RTreeItem{Rect: e.Geom.Bounds(), ID: i}
-	}
-	db.elemIndex = geo.BuildRTree(elemItems, 0)
+	return db.elemIndex, db.elemIndexed
+}
 
-	objItems := make([]geo.RTreeItem, len(db.objects))
-	db.objIndexed = append([]*PointObject(nil), db.objects...)
-	for i, o := range db.objIndexed {
-		objItems[i] = geo.RTreeItem{Rect: geo.RectFromPoints(o.Pos), ID: i}
+// objectIndex is elementIndex for the point objects.
+func (db *Database) objectIndex() (*geo.RTree, []*PointObject) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.objIndex == nil {
+		items := make([]geo.RTreeItem, len(db.objects))
+		db.objIndexed = append([]*PointObject(nil), db.objects...)
+		for i, o := range db.objIndexed {
+			items[i] = geo.RTreeItem{Rect: geo.RectFromPoints(o.Pos), ID: i}
+		}
+		db.objIndex = geo.BuildRTree(items, 0)
 	}
-	db.objIndex = geo.BuildRTree(objItems, 0)
-	db.indexStale = false
+	return db.objIndex, db.objIndexed
+}
+
+// buildIndexes builds whichever index is stale, so that a constructor
+// hands out a database whose first query rebuilds nothing.
+func (db *Database) buildIndexes() {
+	db.elementIndex()
+	db.objectIndex()
 }
 
 // ElementsNear returns the elements whose geometry passes within radius
 // metres of p, sorted by distance to p.
 func (db *Database) ElementsNear(p geo.XY, radius float64) []*TrafficElement {
-	db.ensureIndexes()
+	index, indexed := db.elementIndex()
 	query := geo.RectFromPoints(p).Expand(radius)
-	ids := db.elemIndex.Search(query, nil)
+	ids := index.Search(query, nil)
 	type hit struct {
 		e *TrafficElement
 		d float64
 	}
 	var hits []hit
 	for _, id := range ids {
-		e := db.elemIndexed[id]
+		e := indexed[id]
 		if d := e.Geom.DistanceTo(p); d <= radius {
 			hits = append(hits, hit{e, d})
 		}
@@ -303,11 +322,11 @@ func (db *Database) ElementsNear(p geo.XY, radius float64) []*TrafficElement {
 
 // ObjectsInRect returns the point objects inside r.
 func (db *Database) ObjectsInRect(r geo.Rect) []*PointObject {
-	db.ensureIndexes()
-	ids := db.objIndex.Search(r, nil)
+	index, indexed := db.objectIndex()
+	ids := index.Search(r, nil)
 	out := make([]*PointObject, 0, len(ids))
 	for _, id := range ids {
-		if o := db.objIndexed[id]; r.Contains(o.Pos) {
+		if o := indexed[id]; r.Contains(o.Pos) {
 			out = append(out, o)
 		}
 	}
@@ -325,7 +344,7 @@ const lineChunkSegs = 16
 // ObjectsNearLine returns point objects within dist metres of the chain,
 // optionally filtered by kind (pass 0 for all kinds).
 func (db *Database) ObjectsNearLine(pl geo.Polyline, dist float64, kind ObjectKind) []*PointObject {
-	db.ensureIndexes()
+	index, indexed := db.objectIndex()
 	var out []*PointObject
 	var ids []int
 	var seen map[int]struct{}
@@ -338,12 +357,12 @@ func (db *Database) ObjectsNearLine(pl geo.Polyline, dist float64, kind ObjectKi
 			}
 			chunk = pl[start:end]
 		}
-		ids = db.objIndex.Search(chunk.Bounds().Expand(dist), ids[:0])
+		ids = index.Search(chunk.Bounds().Expand(dist), ids[:0])
 		for _, id := range ids {
 			if _, dup := seen[id]; dup {
 				continue
 			}
-			o := db.objIndexed[id]
+			o := indexed[id]
 			if kind != 0 && o.Kind != kind {
 				continue
 			}
@@ -351,7 +370,7 @@ func (db *Database) ObjectsNearLine(pl geo.Polyline, dist float64, kind ObjectKi
 			// the chunk holding its nearest segment, so the union over
 			// chunks accepts exactly the objects the one-shot full-chain
 			// test accepted.
-			if chunk.DistanceTo(o.Pos) <= dist {
+			if chunk.Within(o.Pos, dist) {
 				if seen == nil {
 					seen = make(map[int]struct{})
 				}
@@ -373,7 +392,7 @@ func (db *Database) ObjectsNearLine(pl geo.Polyline, dist float64, kind ObjectKi
 // fetching does not build and sort a result slice it will immediately
 // discard.
 func (db *Database) CountObjectsNearLine(pl geo.Polyline, dist float64) FeatureCounts {
-	db.ensureIndexes()
+	index, indexed := db.objectIndex()
 	var fc FeatureCounts
 	var ids, seen []int
 	for start := 0; start == 0 || start+1 < len(pl); start += lineChunkSegs {
@@ -385,7 +404,7 @@ func (db *Database) CountObjectsNearLine(pl geo.Polyline, dist float64) FeatureC
 			}
 			chunk = pl[start:end]
 		}
-		ids = db.objIndex.Search(chunk.Bounds().Expand(dist), ids[:0])
+		ids = index.Search(chunk.Bounds().Expand(dist), ids[:0])
 	candidates:
 		for _, id := range ids {
 			// The accept set is small (objects on the traversed streets),
@@ -395,8 +414,8 @@ func (db *Database) CountObjectsNearLine(pl geo.Polyline, dist float64) FeatureC
 					continue candidates
 				}
 			}
-			o := db.objIndexed[id]
-			if chunk.DistanceTo(o.Pos) <= dist {
+			o := indexed[id]
+			if chunk.Within(o.Pos, dist) {
 				seen = append(seen, id)
 				switch o.Kind {
 				case TrafficLight:

@@ -114,6 +114,7 @@ func SynthesizeOulu(cfg SynthConfig) *City {
 	b.placeTrafficLights()
 	b.placeBusStops()
 	b.placePedestrianCrossings()
+	db.buildIndexes()
 
 	s := cfg.BlockMeters / 200 // scale relative to the nominal 200 m block
 	return &City{

@@ -42,3 +42,24 @@ func FuzzProjectionRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPolylineWithin checks that Within decides exactly as the distance
+// test it replaces, DistanceTo(p) <= r, for chains of 0–6 vertices and
+// any point and radius, NaN and infinities included. Every input is
+// also probed at r = DistanceTo(p) and at its two float neighbours,
+// where any rounding difference between the two would flip the answer.
+func FuzzPolylineWithin(f *testing.F) {
+	f.Add(uint8(2), 0.0, 0.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 3.0, 3.0)
+	f.Add(uint8(4), 0.0, 0.0, 7.0, 3.0, 7.0, 3.0, 11.0, -2.0, 0.0, 0.0, 0.0, 0.0, 2.5, 4.1, 20.0)
+
+	f.Fuzz(func(t *testing.T, n uint8, x0, y0, x1, y1, x2, y2, x3, y3, x4, y4, x5, y5, px, py, r float64) {
+		pl := Line(x0, y0, x1, y1, x2, y2, x3, y3, x4, y4, x5, y5)[:n%7]
+		p := XY{px, py}
+		d := pl.DistanceTo(p)
+		for _, r := range []float64{r, d, math.Nextafter(d, math.Inf(-1)), math.Nextafter(d, math.Inf(1))} {
+			if got, want := pl.Within(p, r), d <= r; got != want {
+				t.Fatalf("%v.Within(%v, %v) = %v, but DistanceTo = %v", pl, p, r, got, d)
+			}
+		}
+	})
+}

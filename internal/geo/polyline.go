@@ -79,22 +79,64 @@ func (pl Polyline) Project(p XY) ProjectResult {
 	var walked float64
 	for i := 1; i < len(pl); i++ {
 		a, b := pl[i-1], pl[i]
+		seg := a.Dist(b)
 		q, t := closestOnSegment(p, a, b)
 		if d := q.Dist(p); d < best.Distance {
 			best = ProjectResult{
 				Point:    q,
 				Distance: d,
-				Along:    walked + t*a.Dist(b),
+				Along:    walked + t*seg,
 				Segment:  i - 1,
 			}
 		}
-		walked += a.Dist(b)
+		walked += seg
 	}
 	return best
 }
 
 // DistanceTo returns the minimum distance from p to the polyline.
 func (pl Polyline) DistanceTo(p XY) float64 { return pl.Project(p).Distance }
+
+// withinSlack is the relative margin by which a segment's squared
+// offset must exceed r² before Within skips its square root. The
+// squares carry a few ulps of rounding (~1e-15 relative) and math.Hypot
+// at most about one, so 1e-9 leaves six orders of magnitude to spare.
+const withinSlack = 1e-9
+
+// Within reports whether p lies within r metres of the chain. It
+// returns exactly DistanceTo(p) <= r for every input, NaN and infinite
+// ones included: it runs Project's per-segment closest point and
+// math.Hypot, but stops at the first segment within r and sums no arc
+// length. A segment whose squared offset exceeds r² by withinSlack is
+// rejected without its square root, and only when both squares are
+// normal floats, where that margin bounds the rounding.
+func (pl Polyline) Within(p XY, r float64) bool {
+	if len(pl) == 1 {
+		return pl[0].Dist(p) <= r
+	}
+	far := math.Inf(1)
+	if r2 := r * r; isNormal(r2) {
+		far = r2 * (1 + withinSlack)
+	}
+	for i := 1; i < len(pl); i++ {
+		q, _ := closestOnSegment(p, pl[i-1], pl[i])
+		dx, dy := q.X-p.X, q.Y-p.Y
+		if s := dx*dx + dy*dy; s > far && isNormal(s) {
+			continue
+		}
+		if q.Dist(p) <= r {
+			return true
+		}
+	}
+	// Project's running minimum starts at +Inf and a NaN offset never
+	// lowers it, so with no segment within r, or no segment at all, the
+	// distance is either above r or +Inf.
+	return math.Inf(1) <= r
+}
+
+// isNormal reports whether a non-negative x is a normal float: neither
+// zero nor subnormal, and finite.
+func isNormal(x float64) bool { return x >= 0x1p-1022 && x <= math.MaxFloat64 }
 
 // BearingAt returns the direction of travel (degrees, 0=north) at the
 // given distance along the chain. For degenerate chains it returns 0.

@@ -26,10 +26,7 @@ func (t *ThickLine) Bounds() Rect { return t.bounds }
 
 // Contains reports whether p lies within the buffered geometry.
 func (t *ThickLine) Contains(p XY) bool {
-	if !t.bounds.Contains(p) {
-		return false
-	}
-	return t.Center.DistanceTo(p) <= t.HalfWidth
+	return t.bounds.Contains(p) && t.Center.Within(p, t.HalfWidth)
 }
 
 // Crossing describes how a trajectory passes through a thick line.

@@ -5,6 +5,8 @@
 package mapattr
 
 import (
+	"math"
+
 	"repro/internal/digiroad"
 	"repro/internal/geo"
 	"repro/internal/mapmatch"
@@ -21,12 +23,13 @@ type RouteAttributes struct {
 }
 
 // Fetcher counts features along route geometries. It is safe for
-// concurrent use: the junction list is computed once at construction
-// and only read afterwards.
+// concurrent use: the junction positions and their R-tree are built
+// once at construction and only read afterwards.
 type Fetcher struct {
-	db        *digiroad.Database
-	graph     *roadnet.Graph
-	junctions []*roadnet.Node
+	db            *digiroad.Database
+	graph         *roadnet.Graph
+	junctions     []geo.XY
+	junctionIndex *geo.RTree // item IDs index junctions
 	// ProximityM is how close a point object must be to the route to
 	// count (default 20 m: the object sits on the traversed street).
 	ProximityM float64
@@ -37,13 +40,26 @@ func NewFetcher(db *digiroad.Database, graph *roadnet.Graph, proximityM float64)
 	if proximityM <= 0 {
 		proximityM = 20
 	}
-	return &Fetcher{db: db, graph: graph, junctions: graph.Junctions(), ProximityM: proximityM}
+	f := &Fetcher{db: db, graph: graph, ProximityM: proximityM}
+	var items []geo.RTreeItem
+	for _, n := range graph.Junctions() {
+		// A NaN position lies in no route's bounds, so it never counts;
+		// in the tree it would poison its leaf's bounds and hide the
+		// junctions beside it.
+		if math.IsNaN(n.Pos.X) || math.IsNaN(n.Pos.Y) {
+			continue
+		}
+		items = append(items, geo.RTreeItem{Rect: geo.RectFromPoints(n.Pos), ID: len(f.junctions)})
+		f.junctions = append(f.junctions, n.Pos)
+	}
+	f.junctionIndex = geo.BuildRTree(items, 0)
+	return f
 }
 
 // attrChunkSegs mirrors digiroad's near-line sweep granularity: the
-// route is cut into chunks of this many segments and each junction is
-// distance-tested only against the chunks whose expanded bounds contain
-// it, instead of projecting every in-bbox junction onto the full route.
+// route is cut into chunks of this many segments, and each junction the
+// junction index finds inside a chunk's expanded bounds is tested
+// against that chunk only, instead of against the full route.
 const attrChunkSegs = 16
 
 // AlongGeometry counts the features within ProximityM of the route
@@ -55,11 +71,7 @@ func (f *Fetcher) AlongGeometry(route geo.Polyline) RouteAttributes {
 	attrs.BusStops = fc.BusStops
 	attrs.PedestrianCrossings = fc.PedestrianCrossings
 
-	type chunkRect struct {
-		chunk  geo.Polyline
-		bounds geo.Rect
-	}
-	var chunks []chunkRect
+	var ids, seen []int
 	for start := 0; start == 0 || start+1 < len(route); start += attrChunkSegs {
 		chunk := route
 		if len(route) > attrChunkSegs+1 {
@@ -69,23 +81,29 @@ func (f *Fetcher) AlongGeometry(route geo.Polyline) RouteAttributes {
 			}
 			chunk = route[start:end]
 		}
-		chunks = append(chunks, chunkRect{chunk, chunk.Bounds().Expand(f.ProximityM)})
+		ids = f.junctionIndex.Search(chunk.Bounds().Expand(f.ProximityM), ids[:0])
+	candidates:
+		for _, id := range ids {
+			// Few junctions lie along one route, so a linear dedup scan
+			// beats a map.
+			for _, s := range seen {
+				if s == id {
+					continue candidates
+				}
+			}
+			// A junction within ProximityM of the route is within
+			// ProximityM of the chunk holding its nearest segment, and
+			// that chunk's expanded bounds contain it, so this accepts
+			// exactly the junctions the full-route test accepts.
+			if chunk.Within(f.junctions[id], f.ProximityM) {
+				seen = append(seen, id)
+			}
+		}
 		if len(chunk) == len(route) {
 			break
 		}
 	}
-	for _, n := range f.junctions {
-		for _, c := range chunks {
-			// A junction within ProximityM of the route is within
-			// ProximityM of the chunk holding its nearest segment, and
-			// that chunk's expanded bounds contain it — so this accepts
-			// exactly the junctions the full-route test accepted.
-			if c.bounds.Contains(n.Pos) && c.chunk.DistanceTo(n.Pos) <= f.ProximityM {
-				attrs.Junctions++
-				break
-			}
-		}
-	}
+	attrs.Junctions = len(seen)
 	return attrs
 }
 

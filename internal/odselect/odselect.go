@@ -256,8 +256,8 @@ func (s *Selector) classify(seg *trace.Trip, sc *classifyScratch) Classification
 	}
 	fromGate := s.gate(tr.From)
 	toGate := s.gate(tr.To)
-	startOK := fromGate.Thick.Center.DistanceTo(traj[0]) <= s.cfg.EndpointProximityM
-	endOK := toGate.Thick.Center.DistanceTo(traj[len(traj)-1]) <= s.cfg.EndpointProximityM
+	startOK := fromGate.Thick.Center.Within(traj[0], s.cfg.EndpointProximityM)
+	endOK := toGate.Thick.Center.Within(traj[len(traj)-1], s.cfg.EndpointProximityM)
 	if !startOK || !endOK {
 		return Classification{Stage: StageWithinCentre, Transition: tr}
 	}
