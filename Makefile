@@ -17,8 +17,9 @@ help:
 	@echo "           parallel per-car workers all run under the race detector)"
 	@echo "  ci       the full gate CI runs: gofmt check + build + vet +"
 	@echo "           test + results-check + race, the cross-mode, ingest"
-	@echo "           round and trip-buffer gates at -cpu 1,2,4, the round"
-	@echo "           and trip-buffer gates again under -race -count=10,"
+	@echo "           round and trip-buffer gates and the hot-path oracles"
+	@echo "           at -cpu 1,2,4, the round and trip-buffer gates and"
+	@echo "           the oracles again under -race -count=10,"
 	@echo "           then build + vet of the perfbench/ module, which ./..."
 	@echo "           skips"
 	@echo "  fuzz     run every native fuzz target for FUZZTIME (default 30s)"
@@ -42,8 +43,9 @@ help:
 	@echo "  bench-ingest  snapshot streaming-ingest perf (ordered and"
 	@echo "           bounded-shuffle firehose replay: points/s + p99"
 	@echo "           ingest-to-visible latency, admission alone with obs"
-	@echo "           off and on: ns + B per point, plus NDJSON/binary"
-	@echo "           frame decode) into results/BENCH_ingest.json"
+	@echo "           off and on: ns + B per point, NDJSON/binary frame"
+	@echo "           decode, and the POST /v1/ingest handler path: ns,"
+	@echo "           B and allocs per point) into results/BENCH_ingest.json"
 	@echo "  bench-cluster snapshot multi-node scaling (1 vs 4 worker"
 	@echo "           processes on the paced-feed fleet, cars/s; the 4-shard"
 	@echo "           arm must hold >=2.5x the single-node baseline) into"
@@ -90,6 +92,12 @@ ROUND_TESTS := PushOverlapsRunningRound|RoundPanicRaisedOnceByFirstWaiter|RoundP
 # the arena a round's worker gathers its trips into.
 BUFFER_TESTS := OpenTripBlockBoundaries|PoisonedGatherMatchesSerialFold
 
+# The hot-path oracles: the watermark step and admission against the
+# full scan they replaced, batch TAXIPNTB decoding against the
+# record-at-a-time reader, and OD selection over segment views against
+# Selector.Run over their rows.
+ORACLE_TESTS := WatermarkStepMatchesFullScan|BatchDecodeMatchesRecordAtATime|RunViewsMatchesRunOnFleet
+
 # perfbench/ is a module of its own, so ./... never compiles it; these
 # are perfbench/run.sh's offline module settings.
 PERFBENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
@@ -100,11 +108,12 @@ PERFBENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
 # results-check fails when results/ is not what the code writes. The
 # -cpu line reruns the cross-mode gates (cluster = single node, streamed
 # = batch), the ingest flush's parallel-analysis, ordered-fold gate,
-# its round hand-off gates and its trip-buffer gates at several core
-# counts: an answer that depends on GOMAXPROCS fails there. The -race
-# -count=10 line repeats the hand-off gates, where two rounds run at
-# once, and the trip-buffer gates, whose rounds gather trips on several
-# workers, under the race detector. The last two lines build and vet the benchmark against
+# its round hand-off gates, its trip-buffer gates and the hot-path
+# oracles at several core counts: an answer that depends on GOMAXPROCS
+# fails there. The -race -count=10 line repeats the hand-off gates,
+# where two rounds run at once, the trip-buffer gates, whose rounds
+# gather trips on several workers, and the hot-path oracles, under the
+# race detector. The last two lines build and vet the benchmark against
 # this checkout, so a change to a name it uses fails here rather than
 # when the benchmark runs; they write no files.
 ci:
@@ -115,8 +124,8 @@ ci:
 	$(GO) test ./...
 	$(MAKE) --no-print-directory results-check
 	$(GO) test -race ./...
-	$(GO) test -cpu 1,2,4 -run 'MatchesSingleNode|MatchesBatch|FlushIsSequentialFold|$(ROUND_TESTS)|$(BUFFER_TESTS)' ./internal/cluster ./internal/ingest ./internal/sink
-	$(GO) test -race -count=10 -run '$(ROUND_TESTS)|FlushIsSequentialFold|$(BUFFER_TESTS)' ./internal/ingest
+	$(GO) test -cpu 1,2,4 -run 'MatchesSingleNode|MatchesBatch|FlushIsSequentialFold|$(ROUND_TESTS)|$(BUFFER_TESTS)|$(ORACLE_TESTS)' ./internal/cluster ./internal/ingest ./internal/odselect ./internal/sink
+	$(GO) test -race -count=10 -run '$(ROUND_TESTS)|FlushIsSequentialFold|$(BUFFER_TESTS)|$(ORACLE_TESTS)' ./internal/ingest ./internal/odselect
 	$(PERFBENCH_ENV) $(GO) build -C perfbench -o /dev/null .
 	$(PERFBENCH_ENV) $(GO) vet -C perfbench ./...
 
@@ -231,11 +240,14 @@ bench-obs:
 # lateness bound), reporting sustained points/s and the p99
 # ingest-to-visible latency, admission alone into 600 open trips (ns
 # and B per point, without and with the registry and lineage), plus
-# the bare NDJSON/binary frame decoders; medians over 5 single-shot
-# runs (one op is a whole fleet replay) into results/BENCH_ingest.json.
-ingest_notes := 32-car fleet x 3 trips flattened to a point firehose, 30s lateness, watermark every 256 points; ordered vs bounded-shuffle replay through admission/watermark/trip-close into the sink; admission alone: 600 interleaved open trips x 512 points in 512-point batches, no watermark step, obs=off vs registry+lineage; plus NDJSON vs TAXIPNTB decode
+# the bare NDJSON/binary frame decoders, and the POST /v1/ingest
+# handler path (decode, admission, watermark step) over 512-point
+# binary bodies; medians over 5 single-shot runs (one op is a whole
+# fleet replay, or every body posted once) into
+# results/BENCH_ingest.json.
+ingest_notes := 32-car fleet x 3 trips flattened to a point firehose, 30s lateness, watermark every 256 points; ordered vs bounded-shuffle replay through admission/watermark/trip-close into the sink; admission alone: 600 interleaved open trips x 512 points in 512-point batches, no watermark step, obs=off vs registry+lineage; NDJSON vs TAXIPNTB decode; IngestPost: POST /v1/ingest handler (decode, admission, a watermark step per body) over 600 512-point TAXIPNTB bodies of 600 interleaved open trips, no trip closes
 bench-ingest:
-	$(call bench_snapshot,ingest,^BenchmarkIngest,-benchmem -benchtime=1x -count=5,./internal/ingest/,$(ingest_notes))
+	$(call bench_snapshot,ingest,^BenchmarkIngest,-benchmem -benchtime=1x -count=5,./internal/ingest/ ./internal/serve/,$(ingest_notes))
 
 # Multi-node scaling trajectory: the paced-feed fleet (every car
 # charges a fixed trace-acquisition latency) run by 1 vs 4 real worker

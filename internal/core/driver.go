@@ -24,9 +24,11 @@ import (
 // binary-decoded) into a pooled per-car arena once, a streamed trip
 // arrives as a view of columns its caller gathered it into, the
 // cleaning kernel appends realigned trips to the arena, segmentation
-// yields zero-copy subviews, and only the kept segments are
-// materialised back into row form — the CarResult contract, and every
-// stage from OD selection on, speaks rows.
+// yields zero-copy subviews, and OD selection classifies those views
+// in place. Only the accepted segments are materialised back into
+// rows, for map matching and the transition records, which speak
+// rows. The batch entries also copy every kept segment out into
+// CarResult.Segments once the driver returns, for Result.Segments.
 //
 // Batch is a bounded stream: the batch entries (ProcessContext,
 // ProcessBinaryContext) drive a whole car inside the per-car envelope
@@ -36,8 +38,8 @@ import (
 
 // carScratch is the per-car reusable state. One scratch is checked out
 // of the pipeline pool per entry call, so steady-state processing
-// allocates only for the data that escapes (the materialised
-// segments).
+// allocates only for the data that escapes (the accepted segments'
+// rows and, in the batch entries, CarResult.Segments).
 type carScratch struct {
 	arena    *trace.Arena
 	clean    clean.Scratch
@@ -158,8 +160,10 @@ func (p *Pipeline) ProcessBinaryContext(ctx context.Context, car int, r io.Reade
 // ProcessTrip returns. It has the batch entries' input boundary but
 // none of their per-car envelope (no pipeline_car span, no car root
 // span) and commits nothing: the caller commits the returned stats
-// into its own ledger with Ledger.Commit. On error the CarResult holds
-// what the stages produced before failing.
+// into its own ledger with Ledger.Commit. Its only rows are the
+// accepted segments its transitions hold: CarResult.Segments stays
+// nil. On error the CarResult holds what the stages produced before
+// failing.
 func (p *Pipeline) ProcessTrip(ctx context.Context, trip trace.ColTrip) (CarResult, error) {
 	sc := p.getScratch()
 	defer p.putScratch(sc)
@@ -186,6 +190,8 @@ func (p *Pipeline) processCar(ctx context.Context, car, rawTrips int, sc *carScr
 	if err == nil {
 		err = p.drive(ctx, car, sc, &cr)
 	}
+	// Result.Segments reads the kept segments as rows.
+	cr.Segments = trace.MaterializeAll(sc.segments, true)
 	if err == nil {
 		p.commitCar(&cr)
 	}
@@ -296,25 +302,24 @@ func (p *Pipeline) drive(ctx context.Context, car int, sc *carScratch, cr *CarRe
 		return err
 	}
 
-	// Segmentation (Table 2) as zero-copy views; kept segments are
-	// materialised into the CarResult, which owns its memory.
+	// Segmentation (Table 2) as zero-copy views.
 	if st, err = p.openStage(ctx, car, stageSegment); err != nil {
 		return err
 	}
 	for _, v := range sc.cleaned {
 		sc.segments = segment.SplitColumns(v, p.Rules, &cr.SegStats, sc.segments)
 	}
-	cr.Segments = trace.MaterializeAll(sc.segments, true)
-	if err := st.close(p.checker.Segments(car, cr.Segments, segmentCheckRules(p.Rules)),
+	if err := st.close(p.checkSegments(car, sc.segments),
 		obs.TAttr("kept", itoa(cr.SegStats.KeptSegments))); err != nil {
 		return err
 	}
 
-	// OD selection (Table 3).
+	// OD selection (Table 3) over the segment views; each accepted
+	// transition holds its segment as rows, which the CarResult owns.
 	if st, err = p.openStage(ctx, car, stageODSelect); err != nil {
 		return err
 	}
-	funnel, accepted := p.Selector.Run(car, cr.Segments)
+	funnel, accepted := p.Selector.RunViews(car, sc.segments)
 	cr.Funnel = funnel
 	if err := st.close(p.checkTransitions(car, accepted), obs.TAttr("accepted", itoa(funnel.PostFiltered))); err != nil {
 		return err
@@ -423,4 +428,13 @@ func (p *Pipeline) checkCleaned(car int, cleaned []trace.ColTrip) error {
 		return nil
 	}
 	return p.checker.CleanedTrips(car, trace.MaterializeAll(cleaned, true))
+}
+
+// checkSegments validates the kept segment views, materialising them
+// only when checking, as checkCleaned does.
+func (p *Pipeline) checkSegments(car int, segs []trace.ColTrip) error {
+	if p.checker == nil {
+		return nil
+	}
+	return p.checker.Segments(car, trace.MaterializeAll(segs, true), segmentCheckRules(p.Rules))
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -123,13 +124,13 @@ func (db *Database) readElementRecord(rec []string) error {
 	if err != nil {
 		return fmt.Errorf("element flow: %w", err)
 	}
-	limit, err := strconv.ParseFloat(rec[4], 64)
+	limit, err := parseFinite(rec[4])
 	if err != nil {
-		return fmt.Errorf("element speed limit: %w", err)
+		return fmt.Errorf("element %d speed limit: %w", id, err)
 	}
 	geom, err := db.parseGeom(rec[6])
 	if err != nil {
-		return err
+		return fmt.Errorf("element %d: %w", id, err)
 	}
 	stored, err := db.AddElement(TrafficElement{
 		ID:            id,
@@ -145,7 +146,7 @@ func (db *Database) readElementRecord(rec []string) error {
 	if len(rec) == 8 && rec[7] != "" {
 		ranges, err := parseSpeedRanges(rec[7])
 		if err != nil {
-			return err
+			return fmt.Errorf("element %d: %w", id, err)
 		}
 		return db.SetSpeedLimits(stored.ID, ranges)
 	}
@@ -160,15 +161,15 @@ func parseSpeedRanges(s string) ([]SpeedLimitRange, error) {
 		if len(fields) != 3 {
 			return nil, fmt.Errorf("bad speed range %q", part)
 		}
-		from, err := strconv.ParseFloat(fields[0], 64)
+		from, err := parseFinite(fields[0])
 		if err != nil {
 			return nil, fmt.Errorf("speed range from: %w", err)
 		}
-		to, err := strconv.ParseFloat(fields[1], 64)
+		to, err := parseFinite(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("speed range to: %w", err)
 		}
-		kmh, err := strconv.ParseFloat(fields[2], 64)
+		kmh, err := parseFinite(fields[2])
 		if err != nil {
 			return nil, fmt.Errorf("speed range kmh: %w", err)
 		}
@@ -189,13 +190,9 @@ func (db *Database) readObjectRecord(rec []string) error {
 	if err != nil {
 		return fmt.Errorf("object kind: %w", err)
 	}
-	lon, err := strconv.ParseFloat(rec[3], 64)
+	pos, err := db.parsePosition(rec[3], rec[4])
 	if err != nil {
-		return fmt.Errorf("object lon: %w", err)
-	}
-	lat, err := strconv.ParseFloat(rec[4], 64)
-	if err != nil {
-		return fmt.Errorf("object lat: %w", err)
+		return fmt.Errorf("object %d: %w", id, err)
 	}
 	elemID, err := strconv.Atoi(rec[5])
 	if err != nil {
@@ -204,10 +201,43 @@ func (db *Database) readObjectRecord(rec []string) error {
 	db.AddObject(PointObject{
 		ID:        id,
 		Kind:      ObjectKind(kind),
-		Pos:       db.Proj.ToXY(geo.Point{Lon: lon, Lat: lat}),
+		Pos:       pos,
 		ElementID: elemID,
 	})
 	return nil
+}
+
+// parseFinite parses a float field and refuses NaN and ±Inf, which
+// strconv.ParseFloat accepts.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q is not finite", s)
+	}
+	return v, nil
+}
+
+// parsePosition parses a WGS84 longitude and latitude and projects
+// them. It refuses a value or a projected coordinate that is not
+// finite: a NaN bound poisons every R-tree node above its item, and
+// the index then finds nothing.
+func (db *Database) parsePosition(lonS, latS string) (geo.XY, error) {
+	lon, err := parseFinite(lonS)
+	if err != nil {
+		return geo.XY{}, fmt.Errorf("lon: %w", err)
+	}
+	lat, err := parseFinite(latS)
+	if err != nil {
+		return geo.XY{}, fmt.Errorf("lat: %w", err)
+	}
+	xy := db.Proj.ToXY(geo.Point{Lon: lon, Lat: lat})
+	if math.IsInf(xy.X, 0) || math.IsInf(xy.Y, 0) {
+		return geo.XY{}, fmt.Errorf("position %s %s projects outside the plane", lonS, latS)
+	}
+	return xy, nil
 }
 
 func (db *Database) parseGeom(s string) (geo.Polyline, error) {
@@ -218,15 +248,11 @@ func (db *Database) parseGeom(s string) (geo.Polyline, error) {
 		if len(fields) != 2 {
 			return nil, fmt.Errorf("bad geometry vertex %q", part)
 		}
-		lon, err := strconv.ParseFloat(fields[0], 64)
+		xy, err := db.parsePosition(fields[0], fields[1])
 		if err != nil {
-			return nil, fmt.Errorf("geometry lon: %w", err)
+			return nil, fmt.Errorf("geometry %w", err)
 		}
-		lat, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("geometry lat: %w", err)
-		}
-		pl = append(pl, db.Proj.ToXY(geo.Point{Lon: lon, Lat: lat}))
+		pl = append(pl, xy)
 	}
 	return pl, nil
 }

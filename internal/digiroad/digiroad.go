@@ -386,15 +386,27 @@ func (db *Database) ObjectsNearLine(pl geo.Polyline, dist float64, kind ObjectKi
 	return out
 }
 
+// LineScratch holds the reusable buffers of CountObjectsNearLineInto.
+// The zero value is ready to use; one scratch serves one goroutine.
+type LineScratch struct {
+	ids, seen []int
+}
+
 // CountObjectsNearLine tallies by kind the point objects within dist
 // metres of the chain. It accepts exactly the objects ObjectsNearLine
 // (with kind 0) accepts, but only counts them, so per-route feature
 // fetching does not build and sort a result slice it will immediately
 // discard.
 func (db *Database) CountObjectsNearLine(pl geo.Polyline, dist float64) FeatureCounts {
+	return db.CountObjectsNearLineInto(pl, dist, &LineScratch{})
+}
+
+// CountObjectsNearLineInto is CountObjectsNearLine with caller-owned
+// buffers: with a warm scratch, a route's query grows no slice.
+func (db *Database) CountObjectsNearLineInto(pl geo.Polyline, dist float64, s *LineScratch) FeatureCounts {
 	index, indexed := db.objectIndex()
 	var fc FeatureCounts
-	var ids, seen []int
+	ids, seen := s.ids[:0], s.seen[:0]
 	for start := 0; start == 0 || start+1 < len(pl); start += lineChunkSegs {
 		chunk := pl
 		if len(pl) > lineChunkSegs+1 {
@@ -431,6 +443,7 @@ func (db *Database) CountObjectsNearLine(pl geo.Polyline, dist float64) FeatureC
 			break
 		}
 	}
+	s.ids, s.seen = ids, seen
 	return fc
 }
 

@@ -190,12 +190,10 @@ func WriteBinary(w io.Writer, pts []Point) error {
 // BinaryReader streams points out of a binary point-event stream.
 type BinaryReader struct {
 	r *bufio.Reader
-	// Next's record buffers live here: as locals they would escape
-	// through io.ReadFull's io.Reader and cost two heap allocations
-	// per point.
-	pre  [4]byte
-	body [binaryPointLen]byte
 }
+
+// binaryRecordLen is one framed record: the recLen prefix and its body.
+const binaryRecordLen = 4 + binaryPointLen
 
 // NewBinaryReader validates the stream header and returns the reader.
 func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
@@ -216,21 +214,103 @@ func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
 // Next decodes the next point. It returns io.EOF at a clean end of
 // stream.
 func (br *BinaryReader) Next() (Point, error) {
-	pre, body := &br.pre, &br.body
-	if _, err := io.ReadFull(br.r, pre[:]); err != nil {
-		if err == io.EOF {
-			return Point{}, io.EOF
+	var one [1]Point
+	if _, err := br.ReadBatch(one[:]); err != nil {
+		return Point{}, err
+	}
+	return one[0], nil
+}
+
+// ReadBatch decodes up to len(pts) points into pts and returns how many
+// it decoded. It decodes every whole record already buffered, in one
+// pass over the buffer, and reads from the stream only when no whole
+// record is buffered and it has decoded nothing yet, so it may return
+// fewer points than pts holds before the stream ends. It returns
+// io.EOF, with no points, at a clean end of stream. On a malformed
+// record it returns the points decoded before it together with the
+// error, which is the one Next gives for that record; a record split
+// across two reads of the stream decodes like any other.
+func (br *BinaryReader) ReadBatch(pts []Point) (int, error) {
+	n := 0
+	for n < len(pts) {
+		buf := br.buffered()
+		if len(buf) < binaryRecordLen {
+			if n > 0 {
+				return n, nil
+			}
+			var err error
+			if buf, err = br.fill(); err != nil {
+				return 0, err
+			}
 		}
-		return Point{}, fmt.Errorf("ingest: read record length: %w", err)
+		k := min(len(buf)/binaryRecordLen, len(pts)-n)
+		for i := range k {
+			rec := buf[i*binaryRecordLen : (i+1)*binaryRecordLen]
+			if recLen := binary.LittleEndian.Uint32(rec[:4]); recLen != binaryPointLen {
+				br.r.Discard(i*binaryRecordLen + 4)
+				return n, recLenError(recLen)
+			}
+			p := &pts[n]
+			decodePoint(p, rec[4:])
+			if err := checkBounds(*p); err != nil {
+				br.r.Discard((i + 1) * binaryRecordLen)
+				return n, err
+			}
+			n++
+		}
+		br.r.Discard(k * binaryRecordLen)
 	}
-	recLen := binary.LittleEndian.Uint32(pre[:])
-	if recLen != binaryPointLen {
-		return Point{}, fmt.Errorf("ingest: invalid record length %d (want %d)", recLen, binaryPointLen)
+	return n, nil
+}
+
+// buffered returns the bytes buffered and not yet decoded, without
+// reading from the stream.
+func (br *BinaryReader) buffered() []byte {
+	buf, _ := br.r.Peek(br.r.Buffered()) // never more than is buffered, so no error
+	return buf
+}
+
+// fill reads from the stream until a whole record is buffered and
+// returns the buffered bytes. When the stream ends or fails first, it
+// consumes what is left of the record and returns the error reading
+// the record field by field would give: io.EOF at a clean end, a
+// recLen error once the prefix is whole, and otherwise an error
+// wrapping the read error (io.ErrUnexpectedEOF for a cut record).
+func (br *BinaryReader) fill() ([]byte, error) {
+	buf, err := br.r.Peek(binaryRecordLen)
+	if err == nil {
+		return br.buffered(), nil
 	}
-	if _, err := io.ReadFull(br.r, body[:]); err != nil {
-		return Point{}, fmt.Errorf("ingest: read record body: %w", err)
+	switch {
+	case len(buf) < 4:
+		br.r.Discard(len(buf))
+		if err == io.EOF {
+			if len(buf) == 0 {
+				return nil, io.EOF
+			}
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("ingest: read record length: %w", err)
+	case binary.LittleEndian.Uint32(buf[:4]) != binaryPointLen:
+		br.r.Discard(4)
+		return nil, recLenError(binary.LittleEndian.Uint32(buf[:4]))
+	default:
+		br.r.Discard(len(buf))
+		if err == io.EOF && len(buf) > 4 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("ingest: read record body: %w", err)
 	}
-	p := Point{
+}
+
+func recLenError(recLen uint32) error {
+	return fmt.Errorf("ingest: invalid record length %d (want %d)", recLen, binaryPointLen)
+}
+
+// decodePoint decodes one record body into p.
+func decodePoint(p *Point, body []byte) {
+	_ = body[binaryPointLen-1]
+	*p = Point{
 		Car:      int(int32(binary.LittleEndian.Uint32(body[0:4]))),
 		Trip:     int64(binary.LittleEndian.Uint64(body[4:12])),
 		Seq:      int(int32(binary.LittleEndian.Uint32(body[12:16]))),
@@ -241,10 +321,6 @@ func (br *BinaryReader) Next() (Point, error) {
 		FuelMl:   trace.DequantFuelMl(int32(binary.LittleEndian.Uint32(body[36:40]))),
 		DistM:    trace.DequantDistM(int32(binary.LittleEndian.Uint32(body[40:44]))),
 	}
-	if err := checkBounds(p); err != nil {
-		return Point{}, err
-	}
-	return p, nil
 }
 
 // ReadBinary decodes a whole binary stream.

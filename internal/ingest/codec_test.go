@@ -1,10 +1,14 @@
 package ingest
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -256,4 +260,171 @@ func TestDecodersShareBounds(t *testing.T) {
 	if got, err := ReadBinary(&bin); err != nil || len(got) != 2 {
 		t.Fatalf("binary extremes: %d decoded, err %v", len(got), err)
 	}
+}
+
+// readRecords is the record-at-a-time TAXIPNTB decoder the batch
+// decoder replaced, kept as its reference: two io.ReadFull calls per
+// record, the length prefix and then the body. It returns the points
+// decoded before the first error other than io.EOF, and that error.
+func readRecords(r io.Reader) ([]Point, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var head [binaryHeaderLen]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return nil, fmt.Errorf("ingest: read binary header: %w", err)
+	}
+	if !SniffBinary(head[:]) {
+		return nil, fmt.Errorf("ingest: bad magic %q", head[:8])
+	}
+	if v := binary.LittleEndian.Uint32(head[8:12]); v != binaryPointVersion {
+		return nil, fmt.Errorf("ingest: unsupported binary version %d", v)
+	}
+	var out []Point
+	for {
+		var pre [4]byte
+		var body [binaryPointLen]byte
+		if _, err := io.ReadFull(br, pre[:]); err != nil {
+			if err == io.EOF {
+				return out, nil
+			}
+			return out, fmt.Errorf("ingest: read record length: %w", err)
+		}
+		if recLen := binary.LittleEndian.Uint32(pre[:]); recLen != binaryPointLen {
+			return out, fmt.Errorf("ingest: invalid record length %d (want %d)", recLen, binaryPointLen)
+		}
+		if _, err := io.ReadFull(br, body[:]); err != nil {
+			return out, fmt.Errorf("ingest: read record body: %w", err)
+		}
+		var p Point
+		decodePoint(&p, body[:])
+		if err := checkBounds(p); err != nil {
+			return out, err
+		}
+		out = append(out, p)
+	}
+}
+
+// readBatches decodes a stream the way POST /v1/ingest does: ReadBatch
+// fills the free slots of a batch of size points, and a full batch is
+// handed on. It returns every point decoded before the first error
+// other than io.EOF, and that error.
+func readBatches(r io.Reader, size int) ([]Point, error) {
+	rd, err := NewBinaryReader(r)
+	if err != nil {
+		return nil, err
+	}
+	var out []Point
+	batch := make([]Point, 0, size)
+	for {
+		n, err := rd.ReadBatch(batch[len(batch):cap(batch)])
+		batch = batch[:len(batch)+n]
+		if len(batch) == size || err != nil {
+			out = append(out, batch...)
+			batch = batch[:0]
+		}
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+	}
+}
+
+// readNext decodes a stream with Next, record by record.
+func readNext(r io.Reader) ([]Point, error) {
+	rd, err := NewBinaryReader(r)
+	if err != nil {
+		return nil, err
+	}
+	var out []Point
+	for {
+		p, err := rd.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, p)
+	}
+}
+
+// chunkReader returns at most n bytes per Read, so records straddle the
+// reads that fill the decoder's buffer.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(b []byte) (int, error) { return c.r.Read(b[:min(len(b), c.n)]) }
+
+// checkBatchDecode requires the batch decoder, at several batch sizes
+// and read sizes, and Next to decode data exactly as readRecords does:
+// the same points, then the same error text.
+func checkBatchDecode(t *testing.T, name string, data []byte) {
+	t.Helper()
+	want, wantErr := readRecords(bytes.NewReader(data))
+	same := func(arm string, got []Point, err error) {
+		t.Helper()
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s, %s: error %v, record at a time %v", name, arm, err, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s, %s: %d points, record at a time %d (or a point differs)", name, arm, len(got), len(want))
+		}
+	}
+	for _, size := range []int{1, 7, 512} {
+		for _, chunk := range []int{1 << 20, 1 << 16, 1000, 47, 1} {
+			if chunk == 1 && len(data) > 1<<14 {
+				continue
+			}
+			got, err := readBatches(chunkReader{bytes.NewReader(data), chunk}, size)
+			same(fmt.Sprintf("batch of %d, reads of %d", size, chunk), got, err)
+		}
+	}
+	got, err := readNext(chunkReader{bytes.NewReader(data), 1000})
+	same("Next", got, err)
+}
+
+// TestBatchDecodeMatchesRecordAtATime: the batch decoder and Next give
+// the points and the error of the record-at-a-time reference on
+// streams of 4,000 records read in chunks that split records across
+// buffer fills, on every cut of a final record, on a bad recLen and an
+// out-of-range time mid-body, and on bad and short headers.
+// FuzzPointCodec makes the same comparison on every binary input.
+func TestBatchDecodeMatchesRecordAtATime(t *testing.T) {
+	base := csvPrecisionPoints()
+	pts := make([]Point, 4000)
+	for i := range pts {
+		pts[i] = base[i%len(base)]
+		pts[i].Seq = i
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, pts); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	rec := func(i int) int { return binaryHeaderLen + i*binaryRecordLen }
+
+	checkBatchDecode(t, "whole stream", full)
+	checkBatchDecode(t, "no records", full[:binaryHeaderLen])
+	for cut := 1; cut < binaryRecordLen; cut++ {
+		checkBatchDecode(t, fmt.Sprintf("final record cut to %d bytes", cut), full[:rec(len(pts)-1)+cut])
+	}
+	for _, at := range []int{0, 1365, 2999} {
+		badLen := slices.Clone(full)
+		binary.LittleEndian.PutUint32(badLen[rec(at):], 77)
+		checkBatchDecode(t, fmt.Sprintf("bad recLen at record %d", at), badLen)
+		checkBatchDecode(t, fmt.Sprintf("bad recLen at record %d, cut", at), badLen[:rec(at)+10])
+
+		badTime := slices.Clone(full)
+		binary.LittleEndian.PutUint64(badTime[rec(at)+4+16:], uint64(trace.MaxEventTimeMs+1))
+		checkBatchDecode(t, fmt.Sprintf("time out of range at record %d", at), badTime)
+	}
+	checkBatchDecode(t, "empty", nil)
+	checkBatchDecode(t, "short header", full[:5])
+	checkBatchDecode(t, "bad magic", append([]byte("TAXIPNTX"), full[8:rec(3)]...))
+	badVersion := slices.Clone(full[:rec(3)])
+	badVersion[8] = 9
+	checkBatchDecode(t, "bad version", badVersion)
 }

@@ -148,6 +148,10 @@ type carState struct {
 	car   int
 	maxMs int64
 	open  []*tripBuf // sorted by (minMs, id) at each watermark step
+	// last is the open trip the car's last admitted point went to, nil
+	// once that trip closes: a car's points mostly follow one another
+	// in one trip, and they reach its buffer without a scan of open.
+	last *tripBuf
 	// closed holds every flushed trip id. Trip ids need not follow
 	// event time (a new trip may carry a lower id than a closed one),
 	// so no per-car id frontier can stand in for the set.
@@ -156,6 +160,9 @@ type carState struct {
 
 // trip returns the car's open trip with the given id, or nil.
 func (cs *carState) trip(id int64) *tripBuf {
+	if tb := cs.last; tb != nil && tb.id == id {
+		return tb
+	}
 	for _, tb := range cs.open {
 		if tb.id == id {
 			return tb
@@ -394,6 +401,7 @@ func (e *Engine) admitLocked(p *Point, recvNs int64) (obs.DropReason, bool) {
 		cs.open = append(cs.open, tb)
 		e.met.openTrips.Add(1)
 	}
+	cs.last = tb
 	tb.add(p, pos, recvNs)
 	if p.TimeMs < tb.minMs {
 		tb.minMs = p.TimeMs
@@ -588,6 +596,12 @@ func (e *Engine) advanceLocked() []closedTrip {
 	active := e.active[:0]
 	for _, cs := range e.active {
 		idle := e.closing || e.globalMaxMs-cs.maxMs > idleMs
+		if !idle && len(cs.open) == 1 {
+			// The loop below keeps the last open trip of a car that is
+			// not idle, so a car with one open trip closes nothing.
+			active = append(active, cs)
+			continue
+		}
 		slices.SortFunc(cs.open, byStart)
 		open := cs.open[:0] // the trips kept, compacted in place behind the scan
 		for i, tb := range cs.open {
@@ -608,6 +622,9 @@ func (e *Engine) advanceLocked() []closedTrip {
 			}
 			if wm > bound {
 				cs.closed[tb.id] = struct{}{}
+				if cs.last == tb {
+					cs.last = nil
+				}
 				out = append(out, closedTrip{car: cs.car, tb: tb})
 				points += tb.n
 			} else {

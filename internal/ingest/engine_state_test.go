@@ -1,13 +1,18 @@
 package ingest
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -319,4 +324,140 @@ func TestAdmissionAllocatesPerBlock(t *testing.T) {
 		t.Fatalf("admission allocates %.1f B and %.4f allocations per point, want at most 72 B and 1/48",
 			bytes, allocs)
 	}
+}
+
+// TestWatermarkStepMatchesFullScan is the admission and watermark-step
+// differential: random streams of cars with several trips open at once
+// (and points of a trip arriving after the next trip has started),
+// cars going idle past the idle timeout and resuming, late points,
+// shuffled arrival, and points pushed after Close, go through the
+// engine and through the full-scan reference (oracle_test.go). Every
+// push must admit and drop alike, and every step must give the same
+// watermark, close the same trips in the same order with the same
+// buffered points, and leave the same Stats.
+func TestWatermarkStepMatchesFullScan(t *testing.T) {
+	p := testPipeline(t)
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pts := stepStream(p, rng)
+		cfg := Config{
+			WatermarkEvery:  math.MaxInt,
+			AllowedLateness: time.Duration(5+rng.Intn(40)) * time.Second,
+			IdleTimeout:     time.Duration(2+rng.Intn(5)) * time.Minute,
+			Now:             func() time.Time { return time.Unix(0, seed) },
+		}
+		got, ref := newTestEngine(t, cfg), newTestEngine(t, cfg)
+		steps, closedTrips := 0, 0
+		step := func(where string) {
+			got.mu.Lock()
+			gc := got.advanceLocked()
+			got.mu.Unlock()
+			ref.mu.Lock()
+			rc := ref.advanceScan()
+			ref.mu.Unlock()
+			steps++
+			closedTrips += len(rc)
+			if g, w := got.Watermark(), ref.Watermark(); g != w {
+				t.Fatalf("seed %d, %s: watermark %d, full scan %d", seed, where, g, w)
+			}
+			if len(gc) != len(rc) {
+				t.Fatalf("seed %d, %s: %d trips closed, full scan %d", seed, where, len(gc), len(rc))
+			}
+			for i := range rc {
+				g, w := gc[i], rc[i]
+				if g.car != w.car || g.tb.id != w.tb.id || g.tb.n != w.tb.n ||
+					g.tb.minMs != w.tb.minMs || g.tb.maxMs != w.tb.maxMs || len(g.tb.blocks) != len(w.tb.blocks) {
+					t.Fatalf("seed %d, %s: closed trip %d is car %d trip %d (%d points), full scan car %d trip %d (%d points)",
+						seed, where, i, g.car, g.tb.id, g.tb.n, w.car, w.tb.id, w.tb.n)
+				}
+				for k := range w.tb.blocks {
+					if *g.tb.blocks[k] != *w.tb.blocks[k] {
+						t.Fatalf("seed %d, %s: car %d trip %d: block %d differs", seed, where, w.car, w.tb.id, k)
+					}
+				}
+			}
+			if g, w := got.Stats(), ref.Stats(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("seed %d, %s: stats %+v, full scan %+v", seed, where, g, w)
+			}
+		}
+		push := func(batch []Point, where string) {
+			res := got.PushBatch(batch)
+			ref.mu.Lock()
+			want := ref.pushScan(batch, seed)
+			ref.mu.Unlock()
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("seed %d, %s: push %+v, full scan %+v", seed, where, res, want)
+			}
+		}
+		for pushed := 0; pushed < len(pts); {
+			n := min(1+rng.Intn(160), len(pts)-pushed)
+			push(pts[pushed:pushed+n], fmt.Sprintf("push at point %d", pushed))
+			pushed += n
+			if rng.Intn(3) > 0 {
+				step(fmt.Sprintf("step after point %d", pushed))
+			}
+		}
+		got.closing, ref.closing = true, true
+		step("close")
+		half := len(pts) / 2
+		push(pts[half:min(half+50, len(pts))], "push after close")
+		step("step after close")
+		if st := ref.Stats(); st.OpenTrips != 0 || st.ClosedTrips != uint64(closedTrips) || closedTrips == 0 {
+			t.Fatalf("seed %d: %d open trips and %d closed after close, %d closed by steps", seed, st.OpenTrips, st.ClosedTrips, closedTrips)
+		}
+		t.Logf("seed %d: %d points, %d steps, %d trips closed, drops %v", seed, len(pts), steps, closedTrips, ref.Stats().Dropped)
+	}
+}
+
+// stepStream returns one random stream for the step differential:
+// 6–30 cars, each with 1–6 trips whose ids do not follow event time.
+// A car's next trip starts before, at or after its last trip's end, so
+// a trip's points may keep arriving after the next trip's start. Some
+// cars fall silent for longer than any idle timeout the test picks,
+// before their next trip or before resuming the same one, whose points
+// after the silence are then dropped as idle_resumed. Arrival is
+// shuffled within 64-point windows, and a few points are re-sent far
+// behind the stream, so they arrive late or after their trip closed.
+func stepStream(p *core.Pipeline, rng *rand.Rand) []Point {
+	var pts []Point
+	cars := 6 + rng.Intn(25)
+	for car := 1; car <= cars; car++ {
+		at := int64(rng.Intn(600)) // seconds
+		ids := rng.Perm(1000)
+		for trip := range 1 + rng.Intn(6) {
+			id := int64(ids[trip])
+			n := 1 + rng.Intn(150)
+			if rng.Intn(8) == 0 {
+				n += blockLen
+			}
+			for j := range n {
+				pts = append(pts, syntheticPoint(p, car, id, j, at))
+				at += int64(1 + rng.Intn(20))
+			}
+			switch rng.Intn(5) {
+			case 0: // the next trip starts before this one's last point
+				at -= int64(rng.Intn(60))
+			case 1: // the car falls silent past the idle timeout
+				at += int64(420 + rng.Intn(1200))
+			case 2: // ... and then resumes the same trip
+				at += int64(420 + rng.Intn(1200))
+				for j := range 1 + rng.Intn(5) {
+					pts = append(pts, syntheticPoint(p, car, id, n+j, at))
+					at += int64(1 + rng.Intn(20))
+				}
+			default:
+				at += int64(rng.Intn(90))
+			}
+		}
+	}
+	slices.SortStableFunc(pts, func(a, b Point) int { return cmp.Compare(a.TimeMs, b.TimeMs) })
+	ShuffleWindows(pts, 64, 40_000, rng.Int63())
+	for range len(pts) / 40 {
+		i, j := rng.Intn(len(pts)), rng.Intn(len(pts))
+		if i < j {
+			i, j = j, i
+		}
+		pts = slices.Insert(pts, i, pts[j])
+	}
+	return pts
 }

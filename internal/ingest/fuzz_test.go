@@ -8,9 +8,11 @@ import (
 // FuzzPointCodec drives arbitrary bytes through the same
 // sniff-then-decode path the HTTP ingest handler uses: TAXIPNTB
 // streams through the binary reader, everything else through the
-// NDJSON decoder. Whatever decodes must re-encode and decode back to
-// the same points — decoded values live in the codec's representable
-// domain, so the round trip has no excuse to drift or fail.
+// NDJSON decoder. A TAXIPNTB stream must decode in batches and by Next
+// exactly as record by record (checkBatchDecode). Whatever decodes must
+// re-encode and decode back to the same points — decoded values live
+// in the codec's representable domain, so the round trip has no excuse
+// to drift or fail.
 func FuzzPointCodec(f *testing.F) {
 	var bin bytes.Buffer
 	if err := WriteBinary(&bin, csvPrecisionPoints()); err != nil {
@@ -34,6 +36,7 @@ func FuzzPointCodec(f *testing.F) {
 		var pts []Point
 		var back []Point
 		if SniffBinary(data) {
+			checkBatchDecode(t, "fuzz input", data)
 			out, err := ReadBinary(bytes.NewReader(data))
 			if err != nil {
 				return

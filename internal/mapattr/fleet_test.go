@@ -194,3 +194,29 @@ func TestThickLineContainsMatchesOracleOnFleet(t *testing.T) {
 		t.Fatalf("degenerate test: %d of %d point-gate pairs inside", inside, points*len(gates))
 	}
 }
+
+// TestAlongGeometryAllocatesNothingWarm: once its scratch is warm,
+// AlongGeometry grows no query buffer, so counting a route's features
+// allocates nothing.
+func TestAlongGeometryAllocatesNothingWarm(t *testing.T) {
+	city := digiroad.SynthesizeOulu(digiroad.SynthConfig{Seed: 42})
+	graph, err := roadnet.Build(city.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := mapattr.NewFetcher(city.DB, graph, 0)
+	route := geo.Line(-1000, 0, 0, 0, 0, 600, 1400, 600, 1400, -800, -1000, -800)
+	attrs := f.AlongGeometry(route)
+	if attrs.Junctions == 0 || attrs.TrafficLights+attrs.BusStops+attrs.PedestrianCrossings == 0 {
+		t.Fatalf("degenerate route: %+v", attrs)
+	}
+	var sc mapattr.Scratch
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := f.AlongGeometryWith(route, &sc); got != attrs {
+			t.Fatalf("AlongGeometry = %+v, then %+v", attrs, got)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AlongGeometry allocates %.1f times per route on a warm scratch, want 0", allocs)
+	}
+}

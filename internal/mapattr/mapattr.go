@@ -6,6 +6,7 @@ package mapattr
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/digiroad"
 	"repro/internal/geo"
@@ -24,7 +25,8 @@ type RouteAttributes struct {
 
 // Fetcher counts features along route geometries. It is safe for
 // concurrent use: the junction positions and their R-tree are built
-// once at construction and only read afterwards.
+// once at construction and only read afterwards, and each call takes
+// its own query buffers from a pool.
 type Fetcher struct {
 	db            *digiroad.Database
 	graph         *roadnet.Graph
@@ -33,6 +35,15 @@ type Fetcher struct {
 	// ProximityM is how close a point object must be to the route to
 	// count (default 20 m: the object sits on the traversed street).
 	ProximityM float64
+	// scratches pools the *attrScratch each AlongGeometry call queries
+	// through, so concurrent callers each reuse warm buffers.
+	scratches sync.Pool
+}
+
+// attrScratch is one AlongGeometry call's query buffers.
+type attrScratch struct {
+	objects   digiroad.LineScratch
+	ids, seen []int
 }
 
 // NewFetcher builds a fetcher. proximityM <= 0 selects 20 m.
@@ -65,13 +76,24 @@ const attrChunkSegs = 16
 // AlongGeometry counts the features within ProximityM of the route
 // chain and the junction nodes it passes.
 func (f *Fetcher) AlongGeometry(route geo.Polyline) RouteAttributes {
+	sc, _ := f.scratches.Get().(*attrScratch)
+	if sc == nil {
+		sc = new(attrScratch)
+	}
+	attrs := f.along(route, sc)
+	f.scratches.Put(sc)
+	return attrs
+}
+
+// along is AlongGeometry through the given query buffers.
+func (f *Fetcher) along(route geo.Polyline, sc *attrScratch) RouteAttributes {
 	attrs := RouteAttributes{LengthM: route.Length()}
-	fc := f.db.CountObjectsNearLine(route, f.ProximityM)
+	fc := f.db.CountObjectsNearLineInto(route, f.ProximityM, &sc.objects)
 	attrs.TrafficLights = fc.TrafficLights
 	attrs.BusStops = fc.BusStops
 	attrs.PedestrianCrossings = fc.PedestrianCrossings
 
-	var ids, seen []int
+	ids, seen := sc.ids[:0], sc.seen[:0]
 	for start := 0; start == 0 || start+1 < len(route); start += attrChunkSegs {
 		chunk := route
 		if len(route) > attrChunkSegs+1 {
@@ -103,6 +125,7 @@ func (f *Fetcher) AlongGeometry(route geo.Polyline) RouteAttributes {
 			break
 		}
 	}
+	sc.ids, sc.seen = ids, seen
 	attrs.Junctions = len(seen)
 	return attrs
 }

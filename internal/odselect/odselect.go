@@ -184,25 +184,51 @@ type gateEvent struct {
 
 // Classify runs one cleaned trip segment through the funnel.
 func (s *Selector) Classify(seg *trace.Trip) Classification {
-	var sc classifyScratch
-	return s.classify(seg, &sc)
+	v := s.classify(seg.Geometry(), &classifyScratch{})
+	c := Classification{Stage: v.stage}
+	if v.stage >= StageTransition {
+		c.Transition = v.transition(seg)
+	}
+	return c
 }
 
 // classifyScratch holds the per-segment buffers classify reuses; Run
-// keeps one across a whole car so steady-state classification does not
-// allocate per segment.
+// and RunViews keep one across a whole car so steady-state
+// classification does not allocate per segment.
 type classifyScratch struct {
 	traj   geo.Polyline
 	events []gateEvent
 }
 
-func (s *Selector) classify(seg *trace.Trip, sc *classifyScratch) Classification {
+// verdict is the funnel outcome of one segment: the stage it reached
+// and, from StageTransition upward, its origin and destination
+// crossings.
+type verdict struct {
+	stage        Stage
+	origin, dest gateEvent
+}
+
+// transition returns the verdict's transition over seg, the segment
+// whose positions were classified.
+func (v verdict) transition(seg *trace.Trip) *Transition {
+	return &Transition{
+		Seg:       seg,
+		From:      v.origin.gate,
+		To:        v.dest.gate,
+		Direction: v.origin.gate + "-" + v.dest.gate,
+		FromCross: v.origin.cross,
+		ToCross:   v.dest.cross,
+	}
+}
+
+// classify is the one classifier: it runs a segment's trajectory, its
+// point positions in order, through the funnel. Row and view entries
+// differ only in where they read the positions from.
+func (s *Selector) classify(traj geo.Polyline, sc *classifyScratch) verdict {
 	// Crossings and the filters below only read the trajectory and keep
-	// value-typed results, so the buffer is safe to reuse.
-	traj := seg.AppendGeometry(sc.traj[:0])
-	sc.traj = traj
+	// value-typed results, so the buffers are safe to reuse.
 	if len(traj) < 2 {
-		return Classification{Stage: StageNoGate}
+		return verdict{stage: StageNoGate}
 	}
 
 	events := sc.events[:0]
@@ -215,7 +241,7 @@ func (s *Selector) classify(seg *trace.Trip, sc *classifyScratch) Classification
 	}
 	sc.events = events
 	if len(events) == 0 {
-		return Classification{Stage: StageNoGate}
+		return verdict{stage: StageNoGate}
 	}
 	sort.SliceStable(events, func(i, j int) bool {
 		return events[i].cross.EntryIndex < events[j].cross.EntryIndex
@@ -232,36 +258,28 @@ func (s *Selector) classify(seg *trace.Trip, sc *classifyScratch) Classification
 		}
 	}
 	if dest == nil {
-		return Classification{Stage: StageGateTouched}
+		return verdict{stage: StageGateTouched}
 	}
-	tr := &Transition{
-		Seg:       seg,
-		From:      origin.gate,
-		To:        dest.gate,
-		Direction: origin.gate + "-" + dest.gate,
-		FromCross: origin.cross,
-		ToCross:   dest.cross,
-	}
+	v := verdict{stage: StageTransition, origin: origin, dest: *dest}
 
 	// Central-area filter: some interior trajectory point between the
 	// two crossings must lie inside the central area.
 	if !s.passesCentre(traj, origin.cross.ExitIndex, dest.cross.EntryIndex) {
-		return Classification{Stage: StageTransition, Transition: tr}
+		return v
 	}
 
 	// Post-filter: studied direction, and endpoints close to the OD
 	// roads.
-	if !s.studied(tr.Direction) {
-		return Classification{Stage: StageWithinCentre, Transition: tr}
+	v.stage = StageWithinCentre
+	if !s.studied(origin.gate + "-" + dest.gate) {
+		return v
 	}
-	fromGate := s.gate(tr.From)
-	toGate := s.gate(tr.To)
-	startOK := fromGate.Thick.Center.Within(traj[0], s.cfg.EndpointProximityM)
-	endOK := toGate.Thick.Center.Within(traj[len(traj)-1], s.cfg.EndpointProximityM)
-	if !startOK || !endOK {
-		return Classification{Stage: StageWithinCentre, Transition: tr}
+	startOK := s.gate(origin.gate).Thick.Center.Within(traj[0], s.cfg.EndpointProximityM)
+	endOK := s.gate(dest.gate).Thick.Center.Within(traj[len(traj)-1], s.cfg.EndpointProximityM)
+	if startOK && endOK {
+		v.stage = StageAccepted
 	}
-	return Classification{Stage: StageAccepted, Transition: tr}
+	return v
 }
 
 func (s *Selector) passesCentre(traj geo.Polyline, from, to int) bool {
@@ -307,6 +325,24 @@ type Funnel struct {
 	PostFiltered int // column 6: StageAccepted
 }
 
+// add tallies one segment that reached stage st and reports whether
+// it was accepted.
+func (f *Funnel) add(st Stage) bool {
+	if st >= StageGateTouched {
+		f.Filtered++
+	}
+	if st >= StageTransition {
+		f.Transitions++
+	}
+	if st >= StageWithinCentre {
+		f.WithinCentre++
+	}
+	if st >= StageAccepted {
+		f.PostFiltered++
+	}
+	return st >= StageAccepted
+}
+
 // Run classifies a car's segments and tallies the funnel, returning
 // the accepted transitions.
 func (s *Selector) Run(car int, segs []*trace.Trip) (Funnel, []*Transition) {
@@ -314,19 +350,27 @@ func (s *Selector) Run(car int, segs []*trace.Trip) (Funnel, []*Transition) {
 	var accepted []*Transition
 	var sc classifyScratch
 	for _, seg := range segs {
-		c := s.classify(seg, &sc)
-		if c.Stage >= StageGateTouched {
-			f.Filtered++
+		sc.traj = seg.AppendGeometry(sc.traj[:0])
+		if v := s.classify(sc.traj, &sc); f.add(v.stage) {
+			accepted = append(accepted, v.transition(seg))
 		}
-		if c.Stage >= StageTransition {
-			f.Transitions++
-		}
-		if c.Stage >= StageWithinCentre {
-			f.WithinCentre++
-		}
-		if c.Stage >= StageAccepted {
-			f.PostFiltered++
-			accepted = append(accepted, c.Transition)
+	}
+	return f, accepted
+}
+
+// RunViews is Run over segment views: the same classifier reads each
+// view's positions in place, and only an accepted segment is copied
+// out into the row trip its Transition.Seg holds, marked time-sorted
+// as segments of cleaned trips are. Every funnel count and accepted
+// transition equals Run's over the views' rows.
+func (s *Selector) RunViews(car int, segs []trace.ColTrip) (Funnel, []*Transition) {
+	f := Funnel{Car: car, TripSegments: len(segs)}
+	var accepted []*Transition
+	var sc classifyScratch
+	for _, seg := range segs {
+		sc.traj = seg.AppendGeometry(sc.traj[:0])
+		if v := s.classify(sc.traj, &sc); f.add(v.stage) {
+			accepted = append(accepted, v.transition(seg.Materialize(true)))
 		}
 	}
 	return f, accepted

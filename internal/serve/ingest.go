@@ -91,18 +91,21 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request, e *ingest.Eng
 		return nil
 	}
 	if ingest.SniffBinary(head) {
+		// The reader decodes the records br already holds straight into
+		// the batch's free slots; a batch is pushed only once full.
 		var rd *ingest.BinaryReader
 		rd, decodeErr = ingest.NewBinaryReader(br)
 		for decodeErr == nil {
-			p, err := rd.Next()
+			n, err := rd.ReadBatch(batch[len(batch):cap(batch)])
+			batch = batch[:len(batch)+n]
+			if len(batch) == ingestBatch {
+				push(batch)
+				batch = batch[:0]
+			}
 			if err == io.EOF {
 				break
 			}
-			if err != nil {
-				decodeErr = err
-				break
-			}
-			collect(p)
+			decodeErr = err
 		}
 	} else {
 		decodeErr = ingest.DecodeNDJSON(br, collect)

@@ -27,7 +27,7 @@ var ingestPipe struct {
 	err  error
 }
 
-func ingestPipeline(t *testing.T) *core.Pipeline {
+func ingestPipeline(t testing.TB) *core.Pipeline {
 	t.Helper()
 	ingestPipe.once.Do(func() {
 		ingestPipe.p, ingestPipe.err = core.NewPipeline(core.Config{

@@ -208,6 +208,15 @@ func (v ColTrip) Sub(i, j int) ColTrip {
 	return ColTrip{ID: v.ID, CarID: v.CarID, Cols: v.Cols, Off: v.Off + i, N: j - i}
 }
 
+// AppendGeometry appends the view's positions to dst, as
+// Trip.AppendGeometry does for the materialised points.
+func (v ColTrip) AppendGeometry(dst geo.Polyline) geo.Polyline {
+	for i := range v.N {
+		dst = append(dst, v.Pos(i))
+	}
+	return dst
+}
+
 // PathLength returns the sum of distances between consecutive points,
 // floating-point-identical to PathLength over the materialised points.
 func (v ColTrip) PathLength() float64 {
